@@ -5,9 +5,7 @@ partition covers the cube, and each class is exactly the set of nodes with
 the same most-significant-bit position.
 """
 
-# Predates the kernel-backend seam; the class-partition census is a
-# mandatory numpy consumer, not an optional accelerated path.
-import numpy as np  # repro-lint: disable=RPR250
+import numpy as np
 
 from repro.topology.hypercube import Hypercube
 from repro.viz.class_render import render_classes

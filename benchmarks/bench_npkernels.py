@@ -1,32 +1,34 @@
-"""Perf — the NumPy kernel backend vs. the pure-Python kernels.
+"""Perf — the bit-plane kernel at d=20 on a clean and a corrupt stream.
 
-Not a paper artifact: quantifies what `repro.fastpath.npkernels` buys.
-Three measurements, one JSON artifact:
+Not a paper artifact: pins what `repro.fastpath.npkernels` carries at
+the largest dimension it claims.  Two stages, one JSON artifact; each
+stage runs in a fresh interpreter (so its peak RSS is its own) under a
+768 MiB address-space cap (``RLIMIT_AS``) armed before its first chunk:
 
-* ``stream_verify_d20`` — the headline number: a CLEAN schedule at d=20
-  (1,048,576 nodes) generated, streamed and batch-verified in one pass
-  with the packed bit-plane verifier, under a 768 MiB address-space cap
-  (``RLIMIT_AS``) enforced for the whole stage — the PR 9 pure-Python
-  node tables could not fit this dimension in that budget;
-* ``montecarlo_speedup`` — the array-of-scenarios batch engine vs. the
-  scalar PR 7 path on the 10k-trial d=10 visibility campaign
-  (reachable intruder, random delays, rotating homebase, seed 2005),
-  asserting byte-identical result payloads and a >= 20x wall-clock
-  speedup;
-* ``parity`` — verdict + summary cross-checks of the two backends over
-  every strategy at a mid dimension, so the artifact itself witnesses
-  the backends agree before it reports their relative speed.
+* ``stream_verify_d20`` — a CLEAN schedule at d=20 (1,048,576 nodes)
+  generated, streamed and batch-verified in one pass with the packed
+  bit-plane verifier;
+* ``corrupt_stream_d20`` — the same stream with one non-edge move
+  injected mid-way through the final chunk.  The verifier must reject it
+  with :class:`~repro.errors.ScheduleError` at the injected move's global
+  index.  The kernel declines that block and the reference replay,
+  rebuilt from the kernel's state, reports the error — so this stage
+  shows the rejection path fits the same cap.
+
+Monte Carlo throughput is measured by the end-to-end benchmark's
+``montecarlo-mix`` workload, and verifier parity by
+``tests/test_npkernels.py``.
 
 Run ``python benchmarks/bench_npkernels.py`` to measure and write
 ``BENCH_npkernels.json`` at the repo root.  Set ``NPKERNELS_SMOKE=1``
-for the CI smoke mode (small dimensions, no perf floors — shared
-runners jitter too much for hard gates; the full mode asserts the
-speedup floor and runs the d=20 pass under the hard memory cap).
+for the CI smoke mode (d=10, same assertions, same cap).
 """
 
 import json
 import os
 import resource
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -38,15 +40,8 @@ SMOKE = bool(os.environ.get("NPKERNELS_SMOKE"))
 VERIFY_STRATEGY = "clean"
 VERIFY_DIMENSION = 10 if SMOKE else 20
 VERIFY_CHUNK_MOVES = 4096 if SMOKE else 65536
-PARITY_DIMENSION = 5 if SMOKE else 7
 
-MC_DIMENSION = 8 if SMOKE else 10
-MC_TRIALS = 500 if SMOKE else 10_000
-MC_REPEATS = 1 if SMOKE else 3
-
-#: full-mode acceptance floors (smoke mode only checks correctness)
 ADDRESS_SPACE_CAP_MIB = 768
-MIN_MC_SPEEDUP = 20.0
 
 
 def peak_rss_mb() -> float:
@@ -65,19 +60,25 @@ def address_space_cap(mib: int):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
-def campaign_spec():
-    """The PR 7 reference campaign the speedup floor is defined on."""
-    from repro.fastpath.batchsim import BatchScenarioSpec
+def _chunks():
+    from repro.core.strategy import get_strategy
+    from repro.topology.hypercube import Hypercube
 
-    return BatchScenarioSpec(
-        dimension=MC_DIMENSION,
-        strategy="visibility",
-        trials=MC_TRIALS,
-        intruder="reachable",
-        delay="random",
-        rotate_homebase=True,
-        rng_seed=2005,
-    )
+    strategy = get_strategy(VERIFY_STRATEGY)
+    return strategy.generate_chunks(Hypercube(VERIFY_DIMENSION), VERIFY_CHUNK_MOVES)
+
+
+def _stage_fields(seconds: float) -> dict:
+    return {
+        "strategy": VERIFY_STRATEGY,
+        "dimension": VERIFY_DIMENSION,
+        "nodes": 1 << VERIFY_DIMENSION,
+        "chunk_moves": VERIFY_CHUNK_MOVES,
+        "address_space_cap_mib": ADDRESS_SPACE_CAP_MIB,
+        "one_pass": True,
+        "seconds": round(seconds, 3),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
+    }
 
 
 def stream_verify_d20():
@@ -88,152 +89,98 @@ def stream_verify_d20():
     allocation — must fit the same budget the CI streaming smoke
     enforces with ``ulimit -v``.
     """
-    from repro.core.strategy import get_strategy
     from repro.fastpath import batch_verify_chunks
-    from repro.topology.hypercube import Hypercube
 
-    strategy = get_strategy(VERIFY_STRATEGY)
     start = time.perf_counter()
     with address_space_cap(ADDRESS_SPACE_CAP_MIB):
-        report = batch_verify_chunks(
-            strategy.generate_chunks(Hypercube(VERIFY_DIMENSION), VERIFY_CHUNK_MOVES),
-            backend="numpy",
-        )
+        report = batch_verify_chunks(_chunks())
     seconds = time.perf_counter() - start
     assert report.ok, report.violations
     return {
-        "strategy": VERIFY_STRATEGY,
-        "dimension": VERIFY_DIMENSION,
-        "nodes": 1 << VERIFY_DIMENSION,
+        **_stage_fields(seconds),
         "moves": report.total_moves,
         "makespan": report.makespan,
         "team_size": report.team_size,
-        "chunk_moves": VERIFY_CHUNK_MOVES,
-        "backend": "numpy",
-        "address_space_cap_mib": ADDRESS_SPACE_CAP_MIB,
-        "one_pass": True,
-        "seconds": round(seconds, 3),
         "moves_per_second": round(report.total_moves / seconds),
-        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
 
 
-def montecarlo_speedup():
-    """Vectorized vs. scalar batch engine on the reference campaign.
+def corrupt_stream_d20():
+    """The same stream with one non-edge move in the final chunk: it must
+    be rejected at that move's global index, inside the same cap."""
+    from repro.errors import ScheduleError
+    from repro.fastpath import batch_verify_chunks
 
-    Both paths run the identical spec; payload equality is asserted
-    before any timing is reported.  Best-of-N wall clock on each side
-    keeps a scheduler hiccup from minting a fake speedup (or hiding a
-    real one).
-    """
-    from repro.fastpath.batchsim import run_batch
+    injected = {}
 
-    spec = campaign_spec()
-    result_np = run_batch(spec, backend="numpy")
-    result_pure = run_batch(spec, backend="pure")
-    assert result_np.to_payload() == result_pure.to_payload(), (
-        "numpy batch engine diverged from the scalar path"
+    def corrupted(chunks):
+        for chunk in chunks:
+            if chunk.is_last:
+                i = len(chunk) // 2
+                # two coordinates away from the source: a node, not a neighbour
+                chunk.dsts[i] = chunk.srcs[i] ^ 3
+                injected["move"] = chunk.start_move + i
+            yield chunk
+
+    start = time.perf_counter()
+    with address_space_cap(ADDRESS_SPACE_CAP_MIB):
+        try:
+            batch_verify_chunks(corrupted(_chunks()))
+        except ScheduleError as exc:
+            error = str(exc)
+        else:
+            raise AssertionError("the corrupt stream was accepted")
+    seconds = time.perf_counter() - start
+    assert error.startswith(f"move #{injected['move']} ") and "is not an edge" in error, error
+    return {**_stage_fields(seconds), "injected_move": injected["move"], "error": error}
+
+
+STAGES = {
+    "stream_verify_d20": stream_verify_d20,
+    "corrupt_stream_d20": corrupt_stream_d20,
+}
+
+
+def run_stage(name: str) -> dict:
+    """One stage in a fresh interpreter; its result is the last stdout line."""
+    done = subprocess.run(
+        [sys.executable, __file__, name], capture_output=True, text=True, check=True
     )
-
-    def best_of(backend: str) -> float:
-        best = float("inf")
-        for _ in range(MC_REPEATS):
-            start = time.perf_counter()
-            run_batch(spec, backend=backend)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    numpy_seconds = best_of("numpy")
-    pure_seconds = best_of("pure")
-    speedup = pure_seconds / numpy_seconds if numpy_seconds else float("inf")
-    return {
-        "spec": spec.to_payload(),
-        "trials": MC_TRIALS,
-        "repeats": MC_REPEATS,
-        "pure_seconds": round(pure_seconds, 6),
-        "numpy_seconds": round(numpy_seconds, 6),
-        "pure_us_per_trial": round(pure_seconds / MC_TRIALS * 1e6, 2),
-        "numpy_us_per_trial": round(numpy_seconds / MC_TRIALS * 1e6, 2),
-        "speedup": round(speedup, 2),
-        "payload_identical": True,
-        "capture_rate": result_np.summary()["capture_rate"],
-    }
-
-
-def parity_checks():
-    """Backends agree verdict-for-verdict before speed is reported."""
-    from repro.core.strategy import available_strategies, get_strategy
-    from repro.fastpath import (
-        CompiledSchedule,
-        batch_verify,
-        batch_verify_chunks,
-    )
-    from repro.topology.hypercube import Hypercube
-
-    cube = Hypercube(PARITY_DIMENSION)
-    checked = []
-    for name in sorted(available_strategies()):
-        strategy = get_strategy(name)
-        compiled = CompiledSchedule.from_schedule(strategy.generate(cube))
-        pure = batch_verify(compiled, backend="pure")
-        fast = batch_verify(compiled, backend="numpy")
-        assert fast == pure, f"{name}: monolithic verdict diverged"
-        streamed = batch_verify_chunks(
-            strategy.generate_chunks(cube, 512), backend="numpy"
-        )
-        assert streamed == pure, f"{name}: chunked verdict diverged"
-        checked.append(name)
-    return {"dimension": PARITY_DIMENSION, "strategies": checked, "identical": True}
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def main() -> None:
-    """Measure everything and write the JSON artifact."""
-    from repro.fastpath import numpy_available
+    """Measure both stages and write the JSON artifact."""
+    if len(sys.argv) > 1:
+        print(json.dumps(STAGES[sys.argv[1]]()))
+        return
     from repro.obs import build_manifest
 
-    assert numpy_available(), "numpy backend unavailable — nothing to benchmark"
-
-    parity = parity_checks()
-    montecarlo = montecarlo_speedup()
-    stream = stream_verify_d20()  # last: its RSS high-water is the headline
-
+    stream = run_stage("stream_verify_d20")
+    corrupt = run_stage("corrupt_stream_d20")
     print(
-        f"stream verify {VERIFY_STRATEGY} d={stream['dimension']} [numpy]: "
+        f"stream verify {VERIFY_STRATEGY} d={stream['dimension']}: "
         f"{stream['moves']} moves in {stream['seconds']}s "
         f"({stream['moves_per_second']}/s), peak RSS {stream['peak_rss_mb']} MiB "
         f"under a {ADDRESS_SPACE_CAP_MIB} MiB address-space cap"
     )
     print(
-        f"montecarlo d={MC_DIMENSION} x{MC_TRIALS}: pure "
-        f"{montecarlo['pure_us_per_trial']} us/trial vs numpy "
-        f"{montecarlo['numpy_us_per_trial']} us/trial "
-        f"({montecarlo['speedup']}x, identical payloads)"
+        f"corrupt stream d={corrupt['dimension']}: rejected at move "
+        f"#{corrupt['injected_move']} in {corrupt['seconds']}s, peak RSS "
+        f"{corrupt['peak_rss_mb']} MiB under the same cap"
     )
-    print(
-        f"parity d={parity['dimension']}: {len(parity['strategies'])} strategies "
-        "verdict-identical (monolithic + chunked)"
-    )
-
-    if not SMOKE:
-        assert montecarlo["speedup"] >= MIN_MC_SPEEDUP, (
-            f"vectorized batch engine only {montecarlo['speedup']}x the scalar "
-            f"path (floor {MIN_MC_SPEEDUP}x)"
-        )
-
     payload = {
         "benchmark": "npkernels",
         "description": (
-            "NumPy kernel backend: packed bit-plane chunk verification at "
-            "d=20 under a 768 MiB address-space cap, array-of-scenarios "
-            "Monte Carlo speedup on the 10k-trial d=10 visibility campaign, "
-            "and backend parity cross-checks"
+            "Bit-plane kernel at d=20 under a 768 MiB address-space cap: "
+            "one-pass generate + verify of the CLEAN stream, and rejection "
+            "of the same stream with one non-edge move in its final chunk"
         ),
         "smoke": SMOKE,
         "manifest": build_manifest(extra={"benchmark": "npkernels"}),
         "results": {
             "stream_verify_d20": stream,
-            "montecarlo_speedup": montecarlo,
-            "parity": parity,
+            "corrupt_stream_d20": corrupt,
         },
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

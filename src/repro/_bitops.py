@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-# Predates the kernel-backend seam; these census helpers are mandatory
-# (numpy is a declared dependency), not an optional accelerated path.
-import numpy as np  # repro-lint: disable=RPR250
+import numpy as np
 
 __all__ = [
     "popcount",

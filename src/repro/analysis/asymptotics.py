@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-# Predates the kernel-backend seam; least-squares fitting has no pure
-# fallback (numpy is a declared dependency, not an optional accelerator).
-import numpy as np  # repro-lint: disable=RPR250
+import numpy as np
 
 __all__ = ["GrowthFit", "fit_growth", "growth_ratio_table", "is_bounded_ratio"]
 

@@ -28,6 +28,7 @@ from repro.fastpath import (
     measure_chunks,
     measure_schedule,
 )
+from repro.fastpath.npkernels import check_backend
 
 __all__ = ["SweepRow", "Sweep", "run_sweep", "measure_cell"]
 
@@ -120,18 +121,18 @@ def measure_cell(
     verification failure raises :class:`~repro.errors.ReproError` — a
     sweep refuses to report numbers from a broken schedule.
 
-    ``backend`` selects the kernel backend of the columnar verifier
-    (``"auto"``/``"numpy"``/``"pure"``, default honouring
-    ``$REPRO_KERNEL_BACKEND``); it only affects the cached and streaming
-    paths — the cache-less materialized path keeps the classic replay
-    verifier, which has no backend seam.
+    The columnar verifier runs the bit-plane kernel on non-cloning
+    schedules.  ``backend`` accepts only ``None`` or ``"numpy"`` (the
+    name of that kernel) and changes nothing; any other value raises
+    :class:`~repro.errors.ScheduleError`.
     """
+    check_backend(backend)
     strategy = get_strategy(name)
     if stream is None:
         stream = dimension >= STREAM_DIMENSION_THRESHOLD
     if stream:
         return _measure_cell_streaming(
-            name, strategy, dimension, verify, cache, chunk_moves, backend
+            name, strategy, dimension, verify, cache, chunk_moves
         )
     if cache is not None:
         fp, compiled = cache.load_compiled(strategy, dimension)
@@ -145,7 +146,7 @@ def measure_cell(
             )
             cache.store(fp, compiled)
         if verify:
-            report = batch_verify(compiled, backend=backend)
+            report = batch_verify(compiled)
             if not report.ok:
                 raise ReproError(
                     f"{name} d={dimension} failed verification: {report.summary()}"
@@ -168,7 +169,6 @@ def _measure_cell_streaming(
     verify: bool,
     cache: Optional[ScheduleCache],
     chunk_moves: int,
-    backend: Optional[str],
 ) -> tuple[Dict[str, float], object, Dict[str, object]]:
     """The chunked cell kernel: one pass, one resident block.
 
@@ -196,7 +196,7 @@ def _measure_cell_streaming(
             yield chunk
 
     if verify:
-        report = batch_verify_chunks(_tap(chunks), backend=backend)
+        report = batch_verify_chunks(_tap(chunks))
         if not report.ok:
             raise ReproError(
                 f"{name} d={dimension} failed verification: {report.summary()}"
@@ -237,11 +237,6 @@ class Sweep:
         (``fn(schedule)`` callbacks) — combining the two raises.
     chunk_moves:
         Block size of the streaming pipeline.
-    backend:
-        Kernel backend for the columnar verifier
-        (``"auto"``/``"numpy"``/``"pure"``; the default defers to
-        ``$REPRO_KERNEL_BACKEND``).  Only the cached and streaming
-        verification paths have a backend seam.
     """
 
     def __init__(
@@ -254,7 +249,6 @@ class Sweep:
         cache: Optional[ScheduleCache] = None,
         stream: Optional[bool] = None,
         chunk_moves: int = DEFAULT_CHUNK_MOVES,
-        backend: Optional[str] = None,
     ) -> None:
         if not strategies or not dimensions:
             raise ReproError("sweep needs at least one strategy and one dimension")
@@ -271,7 +265,6 @@ class Sweep:
         self.cache = cache
         self.stream = stream
         self.chunk_moves = chunk_moves
-        self.backend = backend
 
     def _cell_streams(self, dimension: int) -> bool:
         """Whether the cell at ``dimension`` goes through the chunk path."""
@@ -292,7 +285,6 @@ class Sweep:
                         cache=self.cache,
                         stream=self._cell_streams(d) and not self.extra_metrics,
                         chunk_moves=self.chunk_moves,
-                        backend=self.backend,
                     )
                 except ReproError as exc:
                     if "failed verification" in str(exc):

@@ -172,13 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="moves per chunk on the streaming pipeline (default: 65536)",
     )
-    sweep.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "pure"],
-        default=None,
-        help="kernel backend for the columnar verifier "
-        "(default: $REPRO_KERNEL_BACKEND, else auto)",
-    )
     _add_executor_flags(sweep)
     _add_cache_flags(sweep)
     _add_trace_flag(sweep)
@@ -229,13 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     montecarlo.add_argument(
         "--json", metavar="FILE", default=None, help="write summary + manifest JSON"
-    )
-    montecarlo.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "pure"],
-        default=None,
-        help="kernel backend for the batch engine "
-        "(default: $REPRO_KERNEL_BACKEND, else auto)",
     )
     _add_executor_flags(montecarlo)
     _add_trace_flag(montecarlo)
@@ -595,7 +581,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     tracer=trace.tracer if trace else None,
                     stream=args.stream,
                     chunk_moves=args.chunk_moves,
-                    backend=args.backend,
                 )
         except ReproError as exc:
             print(f"repro-search sweep: {exc}", file=sys.stderr)
@@ -618,7 +603,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     cache=cache,
                     stream=args.stream,
                     chunk_moves=args.chunk_moves or DEFAULT_CHUNK_MOVES,
-                    backend=args.backend,
                 )
         except ReproError as exc:
             print(f"repro-search sweep: {exc}", file=sys.stderr)
@@ -681,7 +665,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
                     checkpoint=args.resume,
                     metrics=trace.registry if trace else None,
                     tracer=trace.tracer if trace else None,
-                    backend=args.backend,
                 )
         except ReproError as exc:
             print(f"repro-search montecarlo: {exc}", file=sys.stderr)
@@ -697,7 +680,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
                     spec,
                     metrics=registry,
                     tracer=trace.tracer if trace else None,
-                    backend=args.backend,
                 )
         except ReproError as exc:
             print(f"repro-search montecarlo: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from repro.analysis.experiments import ExperimentResult, experiment_ids, experim
 from repro.analysis.sweeps import Sweep, SweepRow
 from repro.exec.jobs import Job, JobOutcome
 from repro.exec.pool import ExecutorConfig, ParallelExecutor
+from repro.fastpath.npkernels import check_backend
 from repro.obs import MetricsRegistry, build_manifest
 from repro.obs.trace import Tracer
 
@@ -58,7 +59,6 @@ def sweep_jobs(
     cache_dir: Optional[Union[str, Path]] = None,
     stream: Optional[bool] = None,
     chunk_moves: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[Job]:
     """One ``sweep_cell`` job per (strategy, dimension), serial order.
 
@@ -67,9 +67,7 @@ def sweep_jobs(
     published via atomic renames) so one cell's miss becomes every later
     run's hit.  ``stream``/``chunk_moves`` select and size the workers'
     bounded-memory chunk pipeline (``None`` = the cell kernel's
-    d-threshold default / default block size).  ``backend`` rides along
-    to every worker's columnar verifier (``None`` = defer to the
-    worker's ``$REPRO_KERNEL_BACKEND``).
+    d-threshold default / default block size).
     """
     jobs: List[Job] = []
     for name in strategies:
@@ -85,8 +83,6 @@ def sweep_jobs(
                 payload["stream"] = bool(stream)
             if chunk_moves is not None:
                 payload["chunk_moves"] = int(chunk_moves)
-            if backend is not None:
-                payload["backend"] = str(backend)
             jobs.append(
                 Job(
                     key=f"sweep:{name}:d={d}",
@@ -120,10 +116,12 @@ def parallel_sweep(
     ``status="failed"`` and no metric values (the renderers print
     ``FAILED``).  Only the standard metric columns are supported —
     ``extra_metrics`` callables cannot be shipped to workers.
-    ``stream``/``chunk_moves``/``backend`` ride along to every worker's
-    cell kernel.
+    ``stream``/``chunk_moves`` ride along to every worker's cell kernel.
+    ``backend`` accepts only ``None`` or ``"numpy"`` and is forwarded
+    nowhere: the workers always verify with the bit-plane kernel.
     """
-    sweep = Sweep(strategies, dimensions, verify=verify, backend=backend)
+    check_backend(backend)
+    sweep = Sweep(strategies, dimensions, verify=verify)
     jobs = sweep_jobs(
         strategies,
         dimensions,
@@ -131,7 +129,6 @@ def parallel_sweep(
         cache_dir=cache_dir,
         stream=stream,
         chunk_moves=chunk_moves,
-        backend=backend,
     )
     executor = ParallelExecutor(config, metrics=metrics, tracer=tracer, on_outcome=on_outcome)
     outcomes = executor.run(jobs, checkpoint=checkpoint, manifest=_batch_manifest(jobs))
@@ -243,9 +240,7 @@ def parallel_experiments(
 # --------------------------------------------------------------------- #
 
 
-def montecarlo_jobs(
-    spec: Any, shards: int, *, backend: Optional[str] = None
-) -> List[Job]:
+def montecarlo_jobs(spec: Any, shards: int) -> List[Job]:
     """One ``batch_cell`` job per contiguous trial window, serial order.
 
     The campaign's trials are split into ``shards`` near-equal windows
@@ -253,9 +248,7 @@ def montecarlo_jobs(
     seed stream and skips to its window
     (:mod:`repro.fastpath.batchsim`, determinism section), the merged
     shards equal the serial run regardless of the split or the pool's
-    scheduling.  ``backend`` rides along to every shard's
-    :func:`~repro.fastpath.batchsim.run_batch` call (``None`` = defer to
-    the worker's ``$REPRO_KERNEL_BACKEND``).
+    scheduling.
     """
     if shards < 1:
         raise ValueError("need at least one shard")
@@ -271,8 +264,6 @@ def montecarlo_jobs(
             "start": start,
             "count": count,
         }
-        if backend is not None:
-            payload["backend"] = str(backend)
         jobs.append(
             Job(
                 key=f"montecarlo:{spec.strategy}:d={spec.dimension}:"
@@ -295,7 +286,6 @@ def parallel_montecarlo(
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
     on_outcome: Optional[OutcomeHook] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[Any, List[JobOutcome]]:
     """The parallel twin of :func:`repro.fastpath.batchsim.run_batch`.
 
@@ -309,7 +299,7 @@ def parallel_montecarlo(
     from repro.fastpath.batchsim import BatchResult
 
     config = config or ExecutorConfig()
-    jobs = montecarlo_jobs(spec, shards or max(config.jobs, 1), backend=backend)
+    jobs = montecarlo_jobs(spec, shards or max(config.jobs, 1))
     executor = ParallelExecutor(config, metrics=metrics, tracer=tracer, on_outcome=on_outcome)
     outcomes = executor.run(jobs, checkpoint=checkpoint, manifest=_batch_manifest(jobs))
 

@@ -61,11 +61,8 @@ def sweep_cell(payload: Dict[str, Any], ctx: TaskContext) -> Dict[str, Any]:
     :class:`~repro.fastpath.ScheduleCache` directory — safe across
     concurrent workers thanks to its atomic writes), ``stream``
     (optional bool — force the bounded-memory chunk pipeline on or off;
-    absent means the d-threshold default), ``chunk_moves`` (optional
-    int block size for that pipeline) and ``backend`` (optional kernel
-    backend for the columnar verifier — ``"auto"``/``"numpy"``/
-    ``"pure"``; absent defers to ``$REPRO_KERNEL_BACKEND`` in the
-    worker's environment).  Returns the flat row data the
+    absent means the d-threshold default) and ``chunk_moves`` (optional
+    int block size for that pipeline).  Returns the flat row data the
     serial :class:`~repro.analysis.sweeps.Sweep` would produce for this
     cell — both paths call the same
     :func:`~repro.analysis.sweeps.measure_cell` kernel, so they cannot
@@ -96,7 +93,6 @@ def sweep_cell(payload: Dict[str, Any], ctx: TaskContext) -> Dict[str, Any]:
         cache=cache,
         stream=None if stream is None else bool(stream),
         chunk_moves=int(payload.get("chunk_moves", DEFAULT_CHUNK_MOVES)),
-        backend=None if payload.get("backend") is None else str(payload["backend"]),
     )
     out: Dict[str, Any] = {
         "strategy": name,
@@ -159,10 +155,7 @@ def batch_cell(payload: Dict[str, Any], ctx: TaskContext) -> Dict[str, Any]:
     :func:`~repro.fastpath.batchsim.run_batch`.  Each worker replays the
     master seed stream and skips the first ``start`` sub-seeds, so the
     merged shards equal the serial campaign trial-for-trial no matter
-    how the pool schedules them.  An optional ``backend`` key selects
-    the kernel backend (``"auto"``/``"numpy"``/``"pure"``) for the
-    shard; absent defers to ``$REPRO_KERNEL_BACKEND`` in the worker's
-    environment.  Returns the shard's columnar
+    how the pool schedules them.  Returns the shard's columnar
     :class:`~repro.fastpath.batchsim.BatchResult` payload (JSON-able),
     including the worker-local ``fastpath.batchsim.*`` counters.
     """
@@ -175,7 +168,6 @@ def batch_cell(payload: Dict[str, Any], ctx: TaskContext) -> Dict[str, Any]:
         count=int(payload["count"]),
         metrics=ctx.metrics,
         tracer=ctx.tracer,
-        backend=None if payload.get("backend") is None else str(payload["backend"]),
     )
     return result.to_payload()
 

@@ -21,11 +21,11 @@ makes re-measuring and re-verifying them cheap:
 * :func:`run_batch` — the scenario-batch Monte Carlo engine: one
   columnar timeline replay per homebase, thousands of intruder/delay
   scenarios scored against it (see :mod:`repro.fastpath.batchsim`);
-* :mod:`repro.fastpath.npkernels` — the optional NumPy kernel backend
-  (:func:`resolve_backend`): packed bit-plane chunk verification and
-  array-of-scenarios Monte Carlo, selected per call via ``backend=`` or
-  globally via ``$REPRO_KERNEL_BACKEND``, byte-identical in verdicts
-  and statistics to the pure-Python kernels it accelerates.
+* :mod:`repro.fastpath.npkernels` — the bit-plane kernels, the one fast
+  path: packed chunk verification of every non-cloning schedule and
+  array-of-scenarios Monte Carlo for the ``reachable`` policy,
+  byte-identical in verdicts and statistics to the reference replays
+  the tests compare them against.
 
 Layering: this package sits between the core schedule plane and the
 analysis/exec consumers — it imports ``core``/``topology``/``errors``
@@ -63,18 +63,8 @@ from repro.fastpath.compiled import (
     encode_metadata,
 )
 from repro.fastpath.measure import Measurable, measure_chunks, measure_schedule
-from repro.fastpath.npkernels import (
-    BACKEND_ENV,
-    KERNEL_BACKENDS,
-    numpy_available,
-    resolve_backend,
-)
 
 __all__ = [
-    "BACKEND_ENV",
-    "KERNEL_BACKENDS",
-    "numpy_available",
-    "resolve_backend",
     "BatchResult",
     "BatchScenarioSpec",
     "BatchStats",

@@ -59,7 +59,7 @@ sequence and skip the first ``start`` sub-seeds, so sharded and serial
 campaigns produce identical scenarios trial-for-trial.
 
 Layering: like the rest of ``repro.fastpath`` this module imports only
-``core``/``topology``/``errors`` (lint rule RPR220); the engine-twin
+``core``/``topology``/``errors`` and numpy (lint rule RPR220); the engine-twin
 semantics are cross-checked by randomized batch≡scalar tests instead of
 shared code.
 """
@@ -71,10 +71,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ScheduleError, SimulationError
-import repro.fastpath.npkernels as npkernels
 from repro.fastpath.batchverify import batch_verify
 from repro.fastpath.compiled import CompiledSchedule
+from repro.fastpath.npkernels import VectorMT19937, check_backend
 from repro.topology.hypercube import Hypercube
 
 __all__ = [
@@ -961,14 +963,14 @@ def run_batch(
     this layer) wraps the shard in a ``fastpath.run_batch`` span with
     compile / verify / per-homebase-timeline child spans.
 
-    ``backend`` picks the kernel backend
-    (:func:`repro.fastpath.npkernels.resolve_backend`): under
-    ``"numpy"`` the schedule verdict replays through the bit-plane
-    verifier and ``reachable``-policy campaigns score all trials as
-    column vectors (one timeline, vectorized RNG streams) — results and
-    counters are byte-identical to the pure path, which remains the
-    fallback for every other policy.
+    ``reachable``-policy campaigns score all trials as column vectors
+    (one timeline, vectorized RNG streams), byte-identical in results
+    and counters to the scalar trial loop that scores the ``inert`` and
+    walker policies.  ``backend`` accepts only ``None`` or ``"numpy"``
+    (the name of the bit-plane kernel) and changes nothing; any other
+    value raises :class:`~repro.errors.ScheduleError`.
     """
+    check_backend(backend)
     if count is None:
         count = spec.trials - start
     if start < 0 or count < 0 or start + count > spec.trials:
@@ -984,10 +986,8 @@ def run_batch(
             count=count,
             policy=spec.intruder,
         ):
-            return _run_batch(
-                spec, start, count, compiled, topology, stats, metrics, tracer, backend
-            )
-    return _run_batch(spec, start, count, compiled, topology, stats, metrics, None, backend)
+            return _run_batch(spec, start, count, compiled, topology, stats, metrics, tracer)
+    return _run_batch(spec, start, count, compiled, topology, stats, metrics, None)
 
 
 def _run_batch(
@@ -999,7 +999,6 @@ def _run_batch(
     stats: Optional[BatchStats],
     metrics: Optional[Any],
     tracer: Optional[Any],
-    backend: Optional[str] = None,
 ) -> BatchResult:
     stats = stats or BatchStats()
     if metrics is not None:
@@ -1016,9 +1015,7 @@ def _run_batch(
             f"compiled schedule is d={base.dimension}, spec wants d={spec.dimension}"
         )
     topo = topology or Hypercube(spec.dimension)
-    n = topo.n
-    resolved = npkernels.resolve_backend(backend)
-    report = batch_verify(base, topo, tracer=tracer, backend=resolved)
+    report = batch_verify(base, topo, tracer=tracer)
     verdict = {
         "monotone": report.monotone,
         "contiguous": report.contiguous,
@@ -1028,20 +1025,37 @@ def _run_batch(
         "team_size": report.team_size,
     }
     result = BatchResult(spec=spec, start=start, verdict=verdict)
-    timelines: Dict[int, ScenarioTimeline] = {}
-
     policy = spec.intruder
     if policy in ("walker", "walkers") and base.uses_cloning:
         raise SimulationError(
             "walker policies replay the engine's move order, which is only "
             "modelled for non-cloning schedules"
         )
-
-    if resolved == "numpy" and policy == "reachable" and count > 0:
+    if policy == "reachable" and count > 0:
         _run_batch_reachable_np(spec, start, count, base, topo, stats, result, tracer)
-        result.counters = stats.as_dict()
-        return result
+    else:
+        _run_batch_scalar(spec, start, count, base, topo, stats, result, tracer)
+    result.counters = stats.as_dict()
+    return result
 
+
+def _run_batch_scalar(
+    spec: BatchScenarioSpec,
+    start: int,
+    count: int,
+    base: CompiledSchedule,
+    topo: Hypercube,
+    stats: BatchStats,
+    result: BatchResult,
+    tracer: Optional[Any],
+) -> None:
+    """Score a shard one trial at a time: every policy, one timeline per
+    homebase.  The ``inert`` and walker policies run here; for
+    ``reachable`` it is the reference the vectorized path is tested
+    against."""
+    n = topo.n
+    policy = spec.intruder
+    timelines: Dict[int, ScenarioTimeline] = {}
     for sub in _trial_subseeds(spec, start, count):
         trial_rng = random.Random(sub)
         # fixed draw order: homebase, infection seeds, intruder seed,
@@ -1102,9 +1116,6 @@ def _run_batch(
         stats.count("trials")
         stats.count("captures" if caught else "escapes")
 
-    result.counters = stats.as_dict()
-    return result
-
 
 def _run_batch_reachable_np(
     spec: BatchScenarioSpec,
@@ -1128,12 +1139,11 @@ def _run_batch_reachable_np(
     VectorMT19937` draws for all trials at once, word-for-word on each
     trial's ``random.Random`` sub-stream.  Counters report the
     scalar-equivalent accounting (a timeline "build" per distinct
-    homebase, a "reuse" per repeat) so both backends publish identical
+    homebase, a "reuse" per repeat) so both paths publish identical
     statistics.
     """
-    np = npkernels._require_np()
     n = topo.n
-    vmt = npkernels.VectorMT19937(_trial_subseeds(spec, start, count))
+    vmt = VectorMT19937(_trial_subseeds(spec, start, count))
     # fixed draw order per trial sub-stream (see _run_batch): homebase,
     # intruder seed, delay seed — the intruder seed is drawn to keep the
     # stream aligned even though the reachable policy never uses it
@@ -1161,7 +1171,7 @@ def _run_batch_reachable_np(
     units = len(timeline.unit_times)
 
     if spec.delay == "random":
-        delay_vmt = npkernels.VectorMT19937(delay_seeds)
+        delay_vmt = VectorMT19937(delay_seeds)
         stretches = delay_vmt.randint_matrix(spec.delay_low, spec.delay_high, units)
         walls = np.cumsum(stretches, axis=1)
         durations = walls[:, -1].tolist() if units else [0] * count

@@ -47,9 +47,8 @@ from repro.errors import (
     SimulationError,
     VerificationError,
 )
-import repro.fastpath.npkernels as npkernels
 from repro.fastpath.compiled import CompiledSchedule
-from repro.fastpath.npkernels import KernelFallback, NPChunkVerifier
+from repro.fastpath.npkernels import KernelFallback, NPChunkVerifier, plane_connected
 from repro.topology.hypercube import Hypercube
 
 __all__ = ["BatchVerificationReport", "batch_verify", "batch_verify_chunks"]
@@ -417,14 +416,15 @@ class _NPReplayAdapter:
     """`_ReplayState`-shaped front for :class:`NPChunkVerifier`.
 
     Presents the same ``feed``/``finish`` surface, so the two batch
-    entry points drive either backend through one code path.  The numpy
-    verifier only ever *commits* state the pure replay would accept
-    silently; the moment it declines a block (:class:`KernelFallback` —
-    which covers every malformed or invariant-violating schedule), this
-    adapter rebuilds a pure :class:`_ReplayState` from the committed
-    state and replays the declined rows through it, so verdicts,
-    violation strings and error messages (global move indices included)
-    are byte-identical to the pure backend.
+    entry points drive the kernel and the reference replay through one
+    code path.  The kernel only ever *settles* state the reference would
+    accept silently; the moment it declines a block
+    (:class:`KernelFallback` — which covers every malformed or
+    invariant-violating schedule), this adapter rebuilds a
+    :class:`_ReplayState` from the last settled boundary and replays the
+    rows since then through it, so verdicts, violation strings and error
+    messages (global move indices included) are byte-identical to the
+    reference replay.
     """
 
     def __init__(
@@ -447,10 +447,10 @@ class _NPReplayAdapter:
         self._kernel: Optional[NPChunkVerifier] = NPChunkVerifier(
             dimension, homebase, team
         )
-        self._pure: Optional[_ReplayState] = None
+        self._replay: Optional[_ReplayState] = None
 
     def _demote(self) -> _ReplayState:
-        """Build the pure continuation state and replay the declined rows."""
+        """Build the reference continuation state and replay the declined rows."""
         kernel = self._kernel
         assert kernel is not None
         state = _ReplayState(
@@ -461,7 +461,7 @@ class _NPReplayAdapter:
             team=self.team,
             topo=self.topo,
         )
-        export = kernel.export_pure_state()
+        export = kernel.export_replay_state()
         state.guard_count = export["guard_count"]
         state.in_region = export["in_region"]
         state.contam_count = export["contam_count"]
@@ -469,12 +469,12 @@ class _NPReplayAdapter:
         state.position = export["position"]
         state.clock = export["clock"]
         state.moves_seen = export["moves_seen"]
-        # the committed prefix ends on a settled unit boundary: vacated is
+        # the settled prefix ends on a unit boundary: vacated is
         # empty and the adjacent-extension invariant held throughout, so
         # the incremental contiguity cache is a known True
         state.unit_time = export["unit_time"]
         pending = kernel.pending_rows()
-        self._pure = state
+        self._replay = state
         self._kernel = None
         state.feed(*pending)
         return state
@@ -486,8 +486,8 @@ class _NPReplayAdapter:
         srcs: Sequence[int],
         dsts: Sequence[int],
     ) -> None:
-        if self._pure is not None:
-            self._pure.feed(times, agents, srcs, dsts)
+        if self._replay is not None:
+            self._replay.feed(times, agents, srcs, dsts)
             return
         assert self._kernel is not None
         try:
@@ -502,14 +502,14 @@ class _NPReplayAdapter:
         total_moves: int,
         makespan: int,
     ) -> BatchVerificationReport:
-        if self._pure is None:
+        if self._replay is None:
             assert self._kernel is not None
             try:
                 self._kernel.finish_tail()
             except KernelFallback:
                 self._demote()
-        if self._pure is not None:
-            return self._pure.finish(
+        if self._replay is not None:
+            return self._replay.finish(
                 declared_team_size, agents_used, total_moves, makespan
             )
         kernel = self._kernel
@@ -530,7 +530,7 @@ class _NPReplayAdapter:
         # defensive cross-check of the committed invariant: the region
         # grew only by adjacent extension, so it must be connected — a
         # frontier BFS on the packed plane (cheap, runs once per verdict)
-        contiguous = kernel.region_size == 0 or npkernels.plane_connected(
+        contiguous = kernel.region_size == 0 or plane_connected(
             kernel.clean_plane, kernel.d, kernel.home
         )
         return BatchVerificationReport(
@@ -557,18 +557,16 @@ def _make_replay_state(
     uses_cloning: bool,
     team: int,
     topo: Hypercube,
-    backend: Optional[str],
 ) -> _AnyReplay:
-    """Replay state for the resolved backend.
+    """The bit-plane kernel, or the reference replay for cloning schedules.
 
-    Cloning schedules always take the pure path: clone materialization
-    is mid-unit stateful in a way the segmented kernels do not model
-    (and cloning strategies are small — d≤8 in the catalogue).
+    Clone materialization is mid-unit stateful in a way the segmented
+    kernels do not model (and cloning strategies are small — d≤8 in the
+    catalogue).
     """
-    resolved = npkernels.resolve_backend(backend)
-    if resolved == "numpy" and not uses_cloning:
-        return _NPReplayAdapter(dimension, strategy, homebase, team, topo)
-    return _ReplayState(dimension, strategy, homebase, uses_cloning, team, topo)
+    if uses_cloning:
+        return _ReplayState(dimension, strategy, homebase, True, team, topo)
+    return _NPReplayAdapter(dimension, strategy, homebase, team, topo)
 
 
 def batch_verify(
@@ -576,7 +574,6 @@ def batch_verify(
     topology: Optional[Hypercube] = None,
     *,
     tracer: Optional[object] = None,
-    backend: Optional[str] = None,
 ) -> BatchVerificationReport:
     """Replay ``compiled`` per time unit with O(1)-per-move kernels.
 
@@ -585,15 +582,15 @@ def batch_verify(
     rule ``RPR220``); when given, the replay runs under a
     ``fastpath.batch_verify`` span.
 
-    ``backend`` selects the kernel backend (``"numpy"`` / ``"pure"`` /
-    ``"auto"``; ``None`` reads ``$REPRO_KERNEL_BACKEND`` — see
-    :func:`repro.fastpath.npkernels.resolve_backend`).  Verdicts,
-    violation strings and error messages are byte-identical across
-    backends: the numpy path hands anything it cannot prove safe back
-    to the pure replay.
+    Non-cloning schedules run on the bit-plane kernel
+    (:class:`~repro.fastpath.npkernels.NPChunkVerifier`), which hands
+    every block it cannot prove safe to the reference replay, so
+    verdicts, violation strings and error messages are those of
+    :class:`_ReplayState`.
 
-    The hot loop (see :meth:`_ReplayState.feed`) touches no Python
-    objects beyond flat integer tables: guard counts, agent
+    The reference replay (:meth:`_ReplayState.feed`, which also runs
+    every cloning schedule) touches no Python objects beyond flat
+    integer tables: guard counts, agent
     positions/clocks, a 0/1 decontaminated-region table, and — the key
     trick — a per-node *contaminated-neighbour counter*.
     Decontamination is monotone outside the (rare) violation path, so
@@ -618,7 +615,7 @@ def batch_verify(
             dimension=compiled.dimension,
             moves=compiled.total_moves,
         ) as span:
-            report = batch_verify(compiled, topology, backend=backend)
+            report = batch_verify(compiled, topology)
             span.attrs["ok"] = report.ok
             return report
     topo = topology or Hypercube(compiled.dimension)
@@ -629,7 +626,6 @@ def batch_verify(
         uses_cloning=compiled.uses_cloning,
         team=max(compiled.team_size, compiled.stats.agents_used, 1),
         topo=topo,
-        backend=backend,
     )
     if isinstance(state, _NPReplayAdapter):
         # the kernel consumes the int64 columns zero-copy
@@ -654,7 +650,6 @@ def batch_verify_chunks(
     topology: Optional[Hypercube] = None,
     *,
     tracer: Optional[object] = None,
-    backend: Optional[str] = None,
 ) -> BatchVerificationReport:
     """Streaming :func:`batch_verify`: one chunk resident at a time.
 
@@ -672,11 +667,11 @@ def batch_verify_chunks(
     Peak memory: the chunk stream itself is *not* what dominates — the
     PR 9 measurements showed the O(n) per-node tables (guard counts,
     region/contamination tables) overtake the one-chunk window from
-    d≈16 up, which is why the ``"numpy"`` backend packs the region into
+    d≈16 up, which is why the bit-plane kernel packs the region into
     ``uint64`` bit-planes and flat int64 tables (about 25 MiB of state
-    at d=20 versus hundreds of MiB of boxed-int lists).  Either way a
-    single resident chunk bounds the *stream's* contribution; the node
-    tables set the floor.
+    at d=20 versus hundreds of MiB of boxed-int lists in the reference
+    replay).  Either way a single resident chunk bounds the *stream's*
+    contribution; the node tables set the floor.
 
     The stream header must carry the exact team size (it seeds the
     homebase guards before the first move); the final chunk's aggregate
@@ -688,7 +683,7 @@ def batch_verify_chunks(
         with tracer.span(  # type: ignore[attr-defined]
             "fastpath.batch_verify_chunks"
         ) as span:
-            report = batch_verify_chunks(chunks, topology, backend=backend)
+            report = batch_verify_chunks(chunks, topology)
             span.attrs["dimension"] = report.dimension
             span.attrs["moves"] = report.total_moves
             span.attrs["ok"] = report.ok
@@ -705,7 +700,6 @@ def batch_verify_chunks(
                 uses_cloning=header.uses_cloning,
                 team=max(header.team_size, 1),
                 topo=topology or Hypercube(header.dimension),
-                backend=backend,
             )
         state.feed(chunk.times, chunk.agents, chunk.srcs, chunk.dsts)
         if chunk.is_last:

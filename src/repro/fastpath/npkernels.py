@@ -1,18 +1,11 @@
-"""NumPy kernel backend: packed bit-planes and array-of-scenarios RNG.
+"""Bit-plane kernels: packed node planes and array-of-scenarios RNG.
 
-This module is the *only* place in the package tree allowed to import
-``numpy`` (lint rule RPR250): every other module reaches vectorized
-kernels through the seam defined here, so the pure-Python paths stay
-importable — and byte-identical in behaviour — on boxes without numpy.
-
-Backend seam
-------------
-:func:`resolve_backend` turns a requested backend (``"auto"``,
-``"numpy"``, ``"pure"``, or ``None`` = read ``$REPRO_KERNEL_BACKEND``,
-default ``auto``) into the concrete ``"numpy"`` / ``"pure"`` choice.
-``auto`` picks numpy exactly when it is importable — safe because every
-numpy kernel either produces bit-identical results or falls back to the
-pure code (see below), never a third behaviour.
+These are the package's one fast path.  The per-move reference replays
+stay beside them: :class:`~repro.fastpath.batchverify._ReplayState`
+verifies cloning schedules, continues a block this module declines, and
+is what the parity tests compare the verifier against; the scalar trial
+loop of :mod:`repro.fastpath.batchsim` scores the ``inert`` and walker
+policies and is the reference for the vectorized ``reachable`` path.
 
 Bit-plane kernels
 -----------------
@@ -30,18 +23,20 @@ composition of the single-bit swaps for the set bits of ``h``) and
 
 :class:`NPChunkVerifier` replays schedule chunks on these planes plus
 flat ``int64`` node/agent tables, with *no per-move or per-unit Python
-loop*: each committed block is checked with sorts and segmented
-reductions (exact sequential guard occupancy, the departure rule per
-(node, time-unit) group, the adjacent-extension contiguity invariant per
-newly cleaned node).  The detectors are exact on the invariant-holding
-fast path; the moment any of them fires — which includes *every*
-malformed or invariant-violating schedule — the verifier restores its
-block-start snapshot and raises :class:`KernelFallback`, and the caller
-replays the uncommitted rows through the pure
-:class:`~repro.fastpath.batchverify._ReplayState`.  Verdicts, violation
-lists and error messages are therefore byte-identical to the pure
-backend by construction: the numpy path only ever *commits* behaviour
-the pure path would accept silently.
+loop*.  Every row is checked once, in the block that brings it, with
+sorts and segmented reductions: row-local structure, per-agent chains,
+exact sequential guard occupancy and the adjacent-extension contiguity
+invariant per newly cleaned node.  Only the departure rule waits, once
+per (node, time-unit) group, until the unit closes.  The detectors are
+exact on the invariant-holding fast path; the moment any of them fires —
+which includes *every* malformed or invariant-violating schedule — the
+verifier restores the state of the last settled unit boundary and raises
+:class:`KernelFallback`, and the caller replays the rows since that
+boundary through ``_ReplayState``.  Verdicts, violation lists and error
+messages are therefore byte-identical to the reference replay by
+construction: the kernel only ever settles behaviour the reference
+accepts silently, and it declines a malformed row in the same block the
+reference raises on it.
 
 Vectorized RNG
 --------------
@@ -51,91 +46,49 @@ seeded, twisted and tempered with the reference constants, so
 ``getrandbits`` / ``randrange`` / ``randint`` columns across 10k trials
 reproduce 10k individual ``random.Random(seed)`` streams draw-for-draw
 (rejection sampling included).  This is what lets the Monte Carlo
-backend score every trial of a campaign simultaneously while keeping the
+engine score every trial of a campaign simultaneously while keeping the
 documented per-trial draw order of :mod:`repro.fastpath.batchsim`.
 
-Layering: imports only ``repro.errors`` (rule RPR220) — and ``numpy``,
-which rule RPR250 confines to this file.
+Layering: imports only ``repro.errors`` and ``numpy`` (rule RPR220).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ScheduleError
 
-try:  # the only numpy import in the package tree (lint rule RPR250)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via resolve_backend tests
-    _np = None  # type: ignore[assignment]
-
 __all__ = [
-    "BACKEND_ENV",
-    "KERNEL_BACKENDS",
     "KernelFallback",
     "NPChunkVerifier",
     "VectorMT19937",
+    "check_backend",
     "mask_list_to_matrix",
     "matrix_to_mask_list",
-    "numpy_available",
     "plane_connected",
     "plane_popcount",
     "plane_shift_dim",
     "plane_spread",
     "plane_translate",
     "pack_nodes",
-    "resolve_backend",
     "unpack_plane",
 ]
 
-#: Environment variable consulted when no explicit backend is passed.
-BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
-#: The accepted backend spellings.
-KERNEL_BACKENDS = ("auto", "numpy", "pure")
+def check_backend(backend: Optional[str]) -> None:
+    """Reject every ``backend=`` value except ``None`` and ``"numpy"``.
 
-
-def numpy_available() -> bool:
-    """Whether the numpy kernels can run in this interpreter."""
-    return _np is not None
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"pure"``.
-
-    ``None`` reads :data:`BACKEND_ENV` (default ``auto``).  ``auto``
-    selects numpy exactly when it is importable.  An explicit
-    ``"numpy"`` on a numpy-less interpreter raises
-    :class:`~repro.errors.ScheduleError` — loud beats silently slow.
+    The bit-plane kernel is the only fast path.  ``measure_cell``,
+    ``parallel_sweep`` and ``run_batch`` still take the argument so that
+    callers passing ``backend="numpy"`` keep working; it selects nothing.
     """
-    if backend is not None:
-        choice = backend
-    else:
-        # backend choice never alters schedule bytes or verdicts (the
-        # numpy path is byte-identical by construction), so the env read
-        # cannot leak into cache-fingerprinted content
-        choice = os.environ.get(BACKEND_ENV, "auto")  # repro-lint: disable=RPR320
-    choice = str(choice).strip().lower() or "auto"
-    if choice not in KERNEL_BACKENDS:
+    if backend is not None and backend != "numpy":
         raise ScheduleError(
-            f"unknown kernel backend {choice!r} (try one of {KERNEL_BACKENDS})"
+            f"unknown kernel backend {backend!r}: the bit-plane kernel "
+            "('numpy') is the only one"
         )
-    if choice == "auto":
-        return "numpy" if numpy_available() else "pure"
-    if choice == "numpy" and not numpy_available():
-        raise ScheduleError(
-            "kernel backend 'numpy' requested but numpy is not importable "
-            "(install it or use backend='pure')"
-        )
-    return choice
-
-
-def _require_np() -> Any:
-    """The numpy module, or a :class:`ScheduleError` explaining its absence."""
-    if _np is None:
-        raise ScheduleError("numpy kernels requested but numpy is not importable")
-    return _np
 
 
 # --------------------------------------------------------------------- #
@@ -161,7 +114,6 @@ def plane_words(n: int) -> int:
 
 def pack_nodes(nodes: Any, n: int) -> Any:
     """Packed plane with the bits of ``nodes`` (an int index array) set."""
-    np = _require_np()
     plane = np.zeros(plane_words(n), dtype=np.uint64)
     idx = np.asarray(nodes, dtype=np.int64)
     if idx.size:
@@ -172,7 +124,6 @@ def pack_nodes(nodes: Any, n: int) -> Any:
 
 def unpack_plane(plane: Any, n: int) -> Any:
     """Per-node 0/1 ``uint8[n]`` view of a packed plane."""
-    np = _require_np()
     return np.unpackbits(plane.view(np.uint8), count=n, bitorder="little")
 
 
@@ -185,7 +136,6 @@ def plane_shift_dim(plane: Any, p: int) -> Any:
     Because XOR with a single bit is an involution, this is both the
     neighbour operator and the translation by ``2**p``.
     """
-    np = _require_np()
     if p < 6:
         s = 1 << p
         m = np.uint64(_ALT_MASK_VALUES[p])
@@ -219,7 +169,6 @@ _POPCOUNT_LUT: Any = None
 def plane_popcount(plane: Any) -> int:
     """Total set bits of a packed plane (``np.bitwise_count`` when the
     installed numpy ships it, a byte lookup table otherwise)."""
-    np = _require_np()
     if hasattr(np, "bitwise_count"):
         return int(np.bitwise_count(plane).sum())
     global _POPCOUNT_LUT
@@ -232,9 +181,9 @@ def plane_connected(plane: Any, d: int, start: int) -> bool:
     """Frontier BFS on packed words: is the plane's node set connected?
 
     Starts at ``start`` when it is in the set, else at the set's lowest
-    node (the same deterministic choice as the pure bitset BFS).
+    node (the same deterministic choice as the reference replay's
+    bitset BFS).
     """
-    np = _require_np()
     total = plane_popcount(plane)
     if total == 0:
         return True
@@ -257,7 +206,6 @@ def plane_connected(plane: Any, d: int, start: int) -> bool:
 
 def mask_list_to_matrix(masks: Sequence[int], n: int) -> Any:
     """Pack a list of bigint node masks into a ``(len, words)`` plane matrix."""
-    np = _require_np()
     words = plane_words(n)
     nbytes = words * 8
     out = np.empty((len(masks), words), dtype=np.uint64)
@@ -304,8 +252,6 @@ class VectorMT19937:
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
-        np = _require_np()
-        self._np = np
         rows = len(seeds)
         self.rows = rows
         # word-major (624, rows) layout: the seeding recurrence and the
@@ -365,7 +311,6 @@ class VectorMT19937:
 
     def _init_by_array(self, key: Any) -> Any:
         """Reference ``init_by_array`` across a ``(klen, rows)`` key matrix."""
-        np = self._np
         klen = key.shape[0]
         rows = key.shape[1]
         # init_genrand(19650218) is seed-independent: computed once per
@@ -458,7 +403,6 @@ class VectorMT19937:
         ``s[k-(N-M)]`` in sub-chunks of at most ``N-M``, and word 623
         reads the new ``s[0]``/``s[M-1]`` plus its own old value.
         """
-        np = self._np
         a = self._filled
         b = min(upto, _MT_N)
         if b <= a:
@@ -501,7 +445,6 @@ class VectorMT19937:
         The per-row slow path once streams have diverged across a block
         boundary; the lockstep fast path is :meth:`_fill_to`.
         """
-        np = self._np
         s = self._state[:, rows]
         old = s.copy()
         upper, lower = np.uint32(0x80000000), np.uint32(0x7FFFFFFF)
@@ -544,7 +487,6 @@ class VectorMT19937:
         that cross a block boundary out of lockstep fall back to per-row
         twists for the rest of the run.
         """
-        np = self._np
         cur = self._cursor
         if self._synced:
             stale = cur >= _MT_N
@@ -587,7 +529,6 @@ class VectorMT19937:
 
     def getrandbits64(self) -> Any:
         """One ``getrandbits(64)`` column (low word drawn first)."""
-        np = self._np
         lo = self._next_word().astype(np.uint64)
         hi = self._next_word().astype(np.uint64)
         return lo | (hi << np.uint64(32))
@@ -612,7 +553,6 @@ class VectorMT19937:
         a handful of array ops instead of a word-at-a-time loop whose
         late rounds wait on a shrinking tail of unlucky rows.
         """
-        np = self._np
         if width <= 0:
             raise ScheduleError("randbelow needs a positive width")
         out = np.empty((self.rows, count), dtype=np.int64)
@@ -680,12 +620,12 @@ class VectorMT19937:
 
 
 class KernelFallback(Exception):
-    """The fast path declined a block; replay the pending rows purely.
+    """The kernel declined a block; replay the unsettled rows on the reference.
 
-    Raised by :class:`NPChunkVerifier` *after* restoring its block-start
-    snapshot, so the committed state it exports plus the pending rows it
-    retains reproduce the pure replay exactly — anomalies include every
-    actual violation, and false alarms only cost speed, never the
+    Raised by :class:`NPChunkVerifier` *after* restoring the state of the
+    last settled unit boundary, so the state it exports plus the rows it
+    retains reproduce the reference replay exactly — anomalies include
+    every actual violation, and false alarms only cost speed, never the
     verdict.
     """
 
@@ -693,37 +633,41 @@ class KernelFallback(Exception):
 #: "never cleaned" sentinel for the order/unit tables (beyond any index).
 _INF = 1 << 62
 
-#: Agent ids above this bound stay on the pure dict-keyed path rather
-#: than allocating per-id array slots.
+#: Agent ids above this bound are declined to the reference replay's
+#: dict-keyed tables rather than given per-id array slots.
 _MAX_AGENT_ID = 1 << 22
+
+_NO_NODES = np.empty(0, dtype=np.int64)
 
 
 class NPChunkVerifier:
     """Vectorized replay state for one (non-cloning) schedule.
 
-    The per-node tables of the pure ``_ReplayState`` become flat numpy
-    arrays (``guard`` counts, first-clean move index and time unit, the
-    packed clean plane); agents live in dense position/clock arrays.
-    :meth:`feed` buffers the trailing — possibly still open — time unit
-    and commits every complete unit through one sorted, segmented pass:
+    The per-node tables of the reference ``_ReplayState`` become flat
+    numpy arrays (``guard`` counts, first-clean move index and time
+    unit, the packed clean plane); agents live in dense position/clock
+    arrays.  :meth:`feed` checks and applies every row of a block once:
 
     * structure checks (row-local + per-agent chains) by stable sort;
     * exact sequential guard occupancy as a per-node running minimum;
-    * the departure rule per (node, unit) group — a vacated node with a
-      neighbour whose first-clean unit is later than the group's unit is
-      exactly the pure verifier's recontamination trigger;
     * contiguity as the adjacent-extension invariant — every newly
       cleaned node needs a neighbour with a smaller first-clean index.
 
-    Any detector firing restores the block-start snapshot and raises
-    :class:`KernelFallback`; :meth:`export_pure_state` +
-    :meth:`pending_rows` then hand the pure replay an identical
-    mid-stream state.
+    Only the departure rule waits for its time unit to close, since a
+    later row of the same unit may still re-guard a vacated node.  Per
+    (node, unit) group, a vacated node with a neighbour whose first-clean
+    unit is later than the group's unit is exactly the reference's
+    recontamination trigger.  The open unit's per-node departure state
+    sits in two dense flag arrays, so a unit spread over many blocks is
+    never sorted twice.
+
+    Any detector firing restores the state of the last settled unit
+    boundary and raises :class:`KernelFallback`;
+    :meth:`export_replay_state` + :meth:`pending_rows` then hand the
+    reference replay an identical mid-stream state.
     """
 
     def __init__(self, dimension: int, homebase: int, team: int) -> None:
-        np = _require_np()
-        self._np = np
         self.d = dimension
         self.n = 1 << dimension
         self.words = plane_words(self.n)
@@ -742,55 +686,111 @@ class NPChunkVerifier:
         self.pos = np.full(cap, -1, dtype=np.int64)
         self.clock = np.zeros(cap, dtype=np.int64)
         self.moves_seen = 0
+        #: the last settled time unit, and the open one (0 = none yet)
         self.last_unit = 0
-        empty = np.empty(0, dtype=np.int64)
-        self._tail: Tuple[Any, Any, Any, Any] = (empty, empty, empty, empty)
-        self._pending: Optional[Tuple[Any, Any, Any, Any]] = None
+        self.open_unit = 0
+        # per node, for the open unit: some agent departed, and the
+        # guard count after the node's latest event is zero
+        self._open_dep = np.zeros(n, dtype=bool)
+        self._open_empty = np.zeros(n, dtype=bool)
+        self._open_nodes: List[Any] = []
+        # the rows fed since the last settled boundary, that boundary's
+        # state, and (after a decline) the rows handed back
+        self._unsettled: List[Tuple[Any, ...]] = []
+        self._boundary: Tuple[Any, ...] = ()
+        self._boundary = self._save()
+        self._pending: Optional[Tuple[Any, ...]] = None
 
     # -- feeding -------------------------------------------------------- #
 
-    def _fallback(self, cols: Tuple[Any, Any, Any, Any]) -> None:
-        self._pending = cols
+    def _save(self) -> Tuple[Any, ...]:
+        """The settled state, copied into the previous boundary's buffers
+        where the shapes match: moving the boundary allocates nothing (at
+        d=20 the three node tables are 24 MiB)."""
+        tables = (
+            self.guard,
+            self.clean_order,
+            self.clean_unit,
+            self.clean_plane,
+            self.pos,
+            self.clock,
+        )
+        copies: List[Any] = []
+        for table, buf in zip(tables, self._boundary or (None,) * len(tables)):
+            if buf is not None and buf.shape == table.shape:
+                np.copyto(buf, table)
+            else:
+                buf = table.copy()
+            copies.append(buf)
+        return (*copies, self.region_size, self.moves_seen, self.last_unit)
+
+    def _decline(self) -> None:
+        """Restore the last settled boundary and keep every row since."""
+        (
+            self.guard,
+            self.clean_order,
+            self.clean_unit,
+            self.clean_plane,
+            self.pos,
+            self.clock,
+            self.region_size,
+            self.moves_seen,
+            self.last_unit,
+        ) = self._boundary
+        self._pending = tuple(np.concatenate(col) for col in zip(*self._unsettled))
         raise KernelFallback()
 
     def feed(self, times: Any, agents: Any, srcs: Any, dsts: Any) -> None:
-        """Buffer + commit one block of columns (any length/alignment)."""
-        np = self._np
+        """Check and apply one block of columns (any length/alignment)."""
         cols = tuple(np.asarray(c, dtype=np.int64) for c in (times, agents, srcs, dsts))
-        t, a, s, dd = (
-            np.concatenate([old, new]) for old, new in zip(self._tail, cols)
-        )
-        full = (t, a, s, dd)
+        t, a, s, dd = cols
         if not len(t):
             return
-        # row-local checks on everything pending: any failure is an
-        # anomaly the pure replay will turn into the exact error
+        self._unsettled.append(cols)
+        # row-local checks: any failure is an anomaly the reference
+        # replay turns into the exact error
         edge = s ^ dd
-        bad = (
-            (t[0] < max(self.last_unit, 1))
+        if (
+            t[0] < max(self.open_unit, 1)
             or bool(np.any(np.diff(t) < 0))
             or bool(np.any((s < 0) | (s >= self.n) | (dd < 0) | (dd >= self.n)))
             or bool(np.any((edge == 0) | (edge & (edge - 1) != 0) | (edge >= self.n)))
             or bool(np.any((a < 0) | (a >= _MAX_AGENT_ID)))
-        )
-        if bad:
-            self._fallback(full)
-        # only complete units commit; rows of the (open) last unit wait
-        cut = int(np.searchsorted(t, t[-1], side="left"))
-        if cut:
-            self._commit(tuple(c[:cut] for c in full), full)
-        self._tail = tuple(c[cut:] for c in full)
+        ):
+            self._decline()
+        if int(a.max()) >= len(self.pos):
+            self._grow_agents(int(a.max()))
+        last = int(t[-1])
+        try:
+            self._check_chains(t, a, s, dd)
+            groups = self._unit_groups(self._check_occupancy(t, s, dd))
+            if last != self.open_unit:
+                # the block closes the open unit and every unit it opens
+                # before its last: apply their rows, settle them, and
+                # move the boundary to the start of unit `last`
+                cut = int(np.searchsorted(t, last, side="left"))
+                self._apply_moves(t[:cut], a[:cut], s[:cut], dd[:cut])
+                self._settle(groups, last)
+                self.last_unit = int(t[cut - 1]) if cut else self.open_unit
+                self.open_unit = last
+                self._boundary = self._save()
+                cols = tuple(c[cut:] for c in cols)
+                self._unsettled = [cols]
+            self._apply_moves(*cols)
+            node, unit, dep, empty = groups
+            self._note_open(node, dep, empty, unit == last)
+        except KernelFallback:
+            self._decline()
 
     def finish_tail(self) -> None:
-        """Commit the buffered final unit (call once, before the verdict)."""
-        if len(self._tail[0]):
-            block = self._tail
-            empty = self._np.empty(0, dtype=self._np.int64)
-            self._tail = (empty, empty, empty, empty)
-            self._commit(block, block)
+        """Settle the open unit (call once, before the verdict)."""
+        vacated = self._close_open_unit()
+        try:
+            self._check_departures(vacated, np.full(len(vacated), self.open_unit))
+        except KernelFallback:
+            self._decline()
 
     def _grow_agents(self, upto: int) -> None:
-        np = self._np
         cap = len(self.pos)
         new_cap = max(upto + 1, 2 * cap)
         pos = np.full(new_cap, -1, dtype=np.int64)
@@ -799,49 +799,9 @@ class NPChunkVerifier:
         clock[:cap] = self.clock
         self.pos, self.clock = pos, clock
 
-    def _commit(self, block: Tuple[Any, Any, Any, Any], pending: Tuple[Any, Any, Any, Any]) -> None:
-        """Validate + apply one block of complete time units."""
-        np = self._np
-        t, a, s, dd = block
-        m = len(t)
-        if int(a.max()) >= len(self.pos):
-            self._grow_agents(int(a.max()))
-        snapshot = (
-            self.guard.copy(),
-            self.clean_order.copy(),
-            self.clean_unit.copy(),
-            self.clean_plane.copy(),
-            self.pos.copy(),
-            self.clock.copy(),
-            self.region_size,
-            self.moves_seen,
-            self.last_unit,
-        )
-        try:
-            self._check_chains(t, a, s, dd)
-            ev = self._check_occupancy(t, s, dd)
-            self._apply_moves(t, a, s, dd)
-            self._check_departures(ev)
-        except KernelFallback:
-            (
-                self.guard,
-                self.clean_order,
-                self.clean_unit,
-                self.clean_plane,
-                self.pos,
-                self.clock,
-                self.region_size,
-                self.moves_seen,
-                self.last_unit,
-            ) = snapshot
-            self._fallback(pending)
-        self.moves_seen += m
-        self.last_unit = int(t[-1])
-
     def _check_chains(self, t: Any, a: Any, s: Any, dd: Any) -> None:
         """Per-agent structure: homebase starts, chained positions, one
         move per unit per agent (strictly increasing per-agent times)."""
-        np = self._np
         order = np.argsort(a, kind="stable")
         sa, st, ss, sd = a[order], t[order], s[order], dd[order]
         first = np.empty(len(sa), dtype=bool)
@@ -865,12 +825,11 @@ class NPChunkVerifier:
         """Exact sequential guard occupancy as a segmented running min.
 
         Each move emits a ``-1`` (src) and ``+1`` (dst) event keyed by
-        its column index; per node, the running count from the
-        pre-block guard must never dip below zero — precisely the pure
+        its column index; per node, the running count from the current
+        guard must never dip below zero — precisely the reference
         replay's ``no agent on src to move`` check, in column order.
-        Returns the sorted event arrays for the departure-rule pass.
+        Returns the sorted event arrays for the departure rule.
         """
-        np = self._np
         m = len(t)
         idx = np.arange(m, dtype=np.int64)
         ev_node = np.concatenate([s, dd])
@@ -893,9 +852,55 @@ class NPChunkVerifier:
             raise KernelFallback()
         return en, edel, eu, running, seg_start
 
+    @staticmethod
+    def _unit_groups(ev: Tuple[Any, ...]) -> Tuple[Any, Any, Any, Any]:
+        """Per (node, unit) group of the sorted events: the node, the
+        unit, whether an agent departed, and whether the node is
+        unguarded after the group's last event."""
+        en, edel, eu, running, node_start = ev
+        unit_change = np.empty(len(en), dtype=bool)
+        unit_change[0] = True
+        unit_change[1:] = eu[1:] != eu[:-1]
+        g_idx = np.nonzero(node_start | unit_change)[0]
+        g_end = np.append(g_idx[1:], len(en)) - 1
+        has_dep = np.add.reduceat((edel < 0).astype(np.int64), g_idx) > 0
+        return en[g_idx], eu[g_idx], has_dep, running[g_end] == 0
+
+    def _note_open(self, node: Any, dep: Any, empty: Any, mask: Any) -> None:
+        """Fold the masked groups, all of the open unit, into its flags."""
+        nodes = node[mask]
+        if len(nodes):
+            self._open_dep[nodes] |= dep[mask]
+            self._open_empty[nodes] = empty[mask]
+            self._open_nodes.append(nodes)
+
+    def _close_open_unit(self) -> Any:
+        """The nodes the open unit leaves vacated; clears its flags."""
+        if not self._open_nodes:
+            return _NO_NODES
+        nodes = np.concatenate(self._open_nodes)
+        self._open_nodes = []
+        vacated = nodes[self._open_dep[nodes] & self._open_empty[nodes]]
+        self._open_dep[nodes] = False
+        return vacated
+
+    def _settle(self, groups: Tuple[Any, Any, Any, Any], last: int) -> None:
+        """The departure rule for every unit a block closes: the open
+        unit, whose earlier blocks live in the flags, and each unit the
+        block opens before ``last``."""
+        node, unit, dep, empty = groups
+        self._note_open(node, dep, empty, unit == self.open_unit)
+        vacated = self._close_open_unit()
+        inner = dep & empty & (unit != self.open_unit) & (unit != last)
+        self._check_departures(
+            np.concatenate([vacated, node[inner]]),
+            np.concatenate([np.full(len(vacated), self.open_unit), unit[inner]]),
+        )
+
     def _apply_moves(self, t: Any, a: Any, s: Any, dd: Any) -> None:
         """Commit guard deltas, agent tables and newly cleaned nodes."""
-        np = self._np
+        if not len(t):
+            return
         # agent tables: last row of each agent's segment wins
         order = np.argsort(a, kind="stable")
         sa, st, sd = a[order], t[order], dd[order]
@@ -904,8 +909,9 @@ class NPChunkVerifier:
         last[:-1] = sa[1:] != sa[:-1]
         self.pos[sa[last]] = sd[last]
         self.clock[sa[last]] = st[last]
-        # guard counts
-        self.guard += np.bincount(dd, minlength=self.n) - np.bincount(s, minlength=self.n)
+        # guard counts (scattered in O(len(t)): no per-block O(n) temporaries)
+        np.add.at(self.guard, dd, 1)
+        np.subtract.at(self.guard, s, 1)
         # newly cleaned nodes: first arrival per destination
         uniq, first_idx = np.unique(dd, return_index=True)
         new = self.clean_order[uniq] == _INF
@@ -914,7 +920,7 @@ class NPChunkVerifier:
             self.clean_order[nodes] = self.moves_seen + at
             self.clean_unit[nodes] = t[at]
             # adjacent extension: every new node needs a neighbour
-            # cleaned strictly earlier (the pure contam_count[dst] < d
+            # cleaned strictly earlier (the reference contam_count[dst] < d
             # test) — in-block assignments above participate, so chains
             # of same-block extensions validate front to back
             nb_min = np.full(len(nodes), _INF, dtype=np.int64)
@@ -925,32 +931,19 @@ class NPChunkVerifier:
             bits = np.left_shift(np.uint64(1), (nodes & 63).astype(np.uint64))
             np.bitwise_or.at(self.clean_plane, nodes >> 6, bits)
             self.region_size += len(nodes)
+        self.moves_seen += len(t)
 
-    def _check_departures(self, ev: Tuple[Any, ...]) -> None:
-        """The departure rule, one segmented pass over (node, unit) groups.
+    def _check_departures(self, cv: Any, cu: Any) -> None:
+        """The departure rule for nodes ``cv`` vacated at the end of units ``cu``.
 
-        A group whose end-of-unit guard count is zero and which contains
-        a departure marks a vacated node; it recontaminates — an anomaly
-        here — exactly when some neighbour's first-clean unit is later
-        than the group's unit (i.e. the neighbour was still contaminated
-        at the unit boundary).  End-of-block ``clean_unit`` values make
-        this exact: in-block later units compare later, unseen nodes are
-        ``_INF``.
+        A vacated node recontaminates — an anomaly here — exactly when
+        some neighbour's first-clean unit is later than the unit (the
+        neighbour was still contaminated at the unit boundary).  Nodes
+        first cleaned in a later unit compare later whether or not
+        their rows are applied yet; unseen nodes are ``_INF``.
         """
-        np = self._np
-        en, edel, eu, running, node_start = ev
-        unit_change = np.empty(len(en), dtype=bool)
-        unit_change[0] = True
-        unit_change[1:] = eu[1:] != eu[:-1]
-        group_start = node_start | unit_change
-        g_idx = np.nonzero(group_start)[0]
-        g_end = np.concatenate([g_idx[1:], [len(en)]]) - 1
-        has_dep = np.add.reduceat((edel < 0).astype(np.int64), g_idx) > 0
-        cand = (running[g_end] == 0) & has_dep
-        if not bool(cand.any()):
+        if not len(cv):
             return
-        cv = en[g_idx[cand]]
-        cu = eu[g_idx[cand]]
         in_region = self.clean_unit[cv] <= cu
         nb_max = np.full(len(cv), -1, dtype=np.int64)
         for p in range(self.d):
@@ -962,20 +955,16 @@ class NPChunkVerifier:
 
     def contaminated_sample(self, limit: int = 8) -> List[int]:
         """The first ``limit`` still-contaminated nodes, ascending."""
-        np = self._np
         bits = unpack_plane(self.clean_plane, self.n)
         return [int(x) for x in np.nonzero(bits == 0)[0][:limit]]
 
     def pending_rows(self) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """The uncommitted rows retained at fallback time, as lists."""
-        if self._pending is None:
-            tail = self._tail
-            return tuple(c.tolist() for c in tail)  # type: ignore[return-value]
+        """The rows handed back by the last decline, as lists."""
+        assert self._pending is not None, "pending_rows() before a decline"
         return tuple(c.tolist() for c in self._pending)  # type: ignore[return-value]
 
-    def export_pure_state(self) -> Dict[str, Any]:
-        """Committed state in the pure ``_ReplayState``'s vocabulary."""
-        np = self._np
+    def export_replay_state(self) -> Dict[str, Any]:
+        """Settled state in the reference ``_ReplayState``'s vocabulary."""
         not_clean = ~self.clean_plane
         spare = self.n & 63
         if spare:

@@ -722,48 +722,6 @@ def _check_fastpath_layering(mod: _Module) -> List[Finding]:
     return findings
 
 
-def _check_numpy_confinement(mod: _Module) -> List[Finding]:
-    """RPR250: ``numpy`` imports live only in ``fastpath/npkernels.py``.
-
-    The kernel-backend seam (``resolve_backend``,
-    ``$REPRO_KERNEL_BACKEND``) is the single place the optional
-    accelerated path is selected and degraded to pure Python; any other
-    module importing ``numpy`` directly bypasses that fallback and
-    couples itself to an optional dependency.  The one sanctioned home
-    is a file named ``npkernels.py`` inside a ``fastpath`` package.
-    """
-    p = Path(mod.path)
-    if p.name == "npkernels.py" and _is_fastpath_module(mod.path):
-        return []
-    findings: List[Finding] = []
-
-    def _flag(node: ast.AST, imported: str) -> None:
-        findings.append(
-            mod.finding(
-                "RPR250",
-                node,
-                f"`{imported}` imported outside `fastpath/npkernels.py`: "
-                "go through the kernel-backend seam "
-                "(`repro.fastpath.npkernels`, `resolve_backend`) so the "
-                "pure fallback and `$REPRO_KERNEL_BACKEND` selection "
-                "keep working",
-            )
-        )
-
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy" or alias.name.startswith("numpy."):
-                    _flag(node, alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and (
-                module == "numpy" or module.startswith("numpy.")
-            ):
-                _flag(node, module)
-    return findings
-
-
 #: Package prefixes the tracing plane must never import (every runtime
 #: layer reports *into* tracing via injected handles — `bind_tracer`,
 #: `set_active_tracer` — so importing one back would be a cycle and
@@ -1025,7 +983,7 @@ def _check_cache_params(mod: _Module) -> List[Finding]:
 
 
 def _per_file_findings(mod: _Module) -> List[Finding]:
-    """Every single-module rule (RPR100–RPR250, RPR340/RPR350)."""
+    """Every single-module rule (RPR100–RPR240, RPR340/RPR350)."""
     return (
         _check_model(mod)
         + _check_board_mutation(mod)
@@ -1035,7 +993,6 @@ def _per_file_findings(mod: _Module) -> List[Finding]:
         + _check_obs_layering(mod)
         + _check_exec_layering(mod)
         + _check_fastpath_layering(mod)
-        + _check_numpy_confinement(mod)
         + _check_trace_layering(mod)
         + check_concurrency(mod.tree, mod.path)
     )

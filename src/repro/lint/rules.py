@@ -179,17 +179,6 @@ _RULE_TABLE: Tuple[Rule, ...] = (
         ),
     ),
     Rule(
-        code="RPR250",
-        name="numpy-outside-kernel-backend",
-        summary=(
-            "`numpy` may only be imported by `fastpath/npkernels.py` — the "
-            "kernel-backend seam (`resolve_backend`, `$REPRO_KERNEL_BACKEND`) "
-            "is the single place the optional accelerated path is selected "
-            "and degraded; a direct `import numpy` elsewhere bypasses the "
-            "pure fallback and couples that module to an optional dependency"
-        ),
-    ),
-    Rule(
         code="RPR300",
         name="nondeterministic-rng",
         summary=(

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence
 
-# Predates the kernel-backend seam; the adjacency/census tables here are
-# mandatory (numpy is a declared dependency), not an optional fast path.
-import numpy as np  # repro-lint: disable=RPR250
+import numpy as np
 
 from repro._bitops import (
     bitstring,

@@ -35,7 +35,6 @@ VIOLATIONS = {
     "fastpath/viol_rpr220.py": ("RPR220", 3, ""),
     "obs/trace.py": ("RPR230", 3, ""),
     "viol_rpr240.py": ("RPR240", 10, "__init__"),
-    "viol_rpr250.py": ("RPR250", 3, ""),
     "determinism/viol_rpr300.py": ("RPR300", 13, "JitteryStrategy.generate"),
     "determinism/viol_rpr310.py": ("RPR310", 12, "StampedStrategy.generate"),
     "determinism/viol_rpr320.py": ("RPR320", 12, "TunedStrategy.generate"),
@@ -97,11 +96,6 @@ class TestViolatingFixtures:
 class TestCleanFixture:
     def test_no_findings(self):
         assert analyze_path(FIXTURES / "clean_fixture.py") == []
-
-    def test_npkernels_is_the_sanctioned_numpy_home(self):
-        """The RPR250 pass fixture: ``fastpath/npkernels.py`` may import
-        numpy — the confinement rule exempts exactly that path."""
-        assert analyze_path(FIXTURES / "fastpath" / "npkernels.py") == []
 
     def test_directory_scan_finds_all_and_only_violations(self):
         findings = analyze_paths([FIXTURES])

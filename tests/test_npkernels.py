@@ -1,46 +1,43 @@
-"""Backend parity tests for the NumPy kernel backend.
+"""Parity tests for the bit-plane kernels against their references.
 
-The ``numpy`` backend's one contract is *byte-identity*: same verdicts,
-same error indices and messages, same batch statistics as the pure
-kernels it accelerates.  Four layers of evidence:
+The kernels' one contract is *byte-identity* with the per-move
+reference paths they replace on the hot path: same verdicts, same error
+indices and messages, same batch statistics.  Four layers of evidence:
 
 * **plane primitives** — pack/shift/spread/translate/popcount/connect
   against brute-force set arithmetic on node lists;
 * **vectorized RNG** — :class:`VectorMT19937` row-for-row against
   CPython's ``random.Random`` across twist boundaries, block rejection
   windows and the array-seeding paths;
-* **verifier parity** — clean and deliberately corrupted schedules,
-  monolithic and chunked at randomized chunk sizes, all strategies up
-  to d=9: reports compare equal field-for-field;
-* **batch-engine parity** — ``run_batch`` payloads and
-  ``BatchResult.merge`` statistics shard-for-shard and merged-vs-merged
-  (serial-vs-merged counters differ *in the pure path too* — each shard
-  rebuilds its timelines — so that comparison would test the sharding,
-  not the backend).
+* **verifier parity** — ``batch_verify``/``batch_verify_chunks`` against
+  a ``_ReplayState`` fed the same columns, on clean and deliberately
+  corrupted schedules, monolithic and chunked at randomized chunk sizes,
+  all strategies up to d=9: reports compare equal field-for-field;
+* **batch-engine parity** — vectorized ``reachable`` payloads and
+  ``BatchResult.merge`` statistics against the scalar trial loop,
+  shard-for-shard and merged-vs-merged (serial-vs-merged counters differ
+  *on the scalar loop too* — each shard rebuilds its timelines — so that
+  comparison would test the sharding, not the kernel).
 """
 
+import dataclasses
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.fastpath.npkernels as npk
+from repro.analysis.sweeps import measure_cell
 from repro.core.strategy import available_strategies, get_strategy
-from repro.errors import ScheduleError
-from repro.fastpath import (
-    BACKEND_ENV,
-    CompiledSchedule,
-    batch_verify,
-    batch_verify_chunks,
-    numpy_available,
-    resolve_backend,
-)
+from repro.errors import ReproError, ScheduleError
+from repro.exec import parallel_sweep
+from repro.fastpath import CompiledSchedule, batch_verify, batch_verify_chunks, batchsim
 from repro.fastpath.batchsim import BatchResult, BatchScenarioSpec, run_batch
+from repro.fastpath.batchverify import _ReplayState
 from repro.topology.hypercube import Hypercube
-
-np = pytest.importorskip("numpy")
-
-import repro.fastpath.npkernels as npk  # noqa: E402
 
 ALL_STRATEGIES = sorted(available_strategies())
 
@@ -63,35 +60,98 @@ def compiled_for(name: str, d: int) -> CompiledSchedule:
     return _COMPILED_CACHE[key]
 
 
+def replay_verify(compiled: CompiledSchedule):
+    """The reference verdict: a ``_ReplayState`` fed the whole columns."""
+    state = _ReplayState(
+        compiled.dimension,
+        compiled.strategy,
+        compiled.homebase,
+        compiled.uses_cloning,
+        max(compiled.team_size, compiled.stats.agents_used, 1),
+        Hypercube(compiled.dimension),
+    )
+    state.feed(
+        compiled.times.tolist(),
+        compiled.agents.tolist(),
+        compiled.srcs.tolist(),
+        compiled.dsts.tolist(),
+    )
+    stats = compiled.stats
+    return state.finish(
+        compiled.team_size, stats.agents_used, stats.total_moves, stats.makespan
+    )
+
+
+def replay_verify_chunks(chunks):
+    """The reference streaming verdict: a ``_ReplayState`` fed each chunk."""
+    state = last = None
+    for chunk in chunks:
+        if state is None:
+            header = chunk.header
+            state = _ReplayState(
+                header.dimension,
+                header.strategy,
+                header.homebase,
+                header.uses_cloning,
+                max(header.team_size, 1),
+                Hypercube(header.dimension),
+            )
+        state.feed(
+            chunk.times.tolist(),
+            chunk.agents.tolist(),
+            chunk.srcs.tolist(),
+            chunk.dsts.tolist(),
+        )
+        if chunk.is_last:
+            last = chunk
+    stats = last.stats_so_far
+    return state.finish(
+        last.header.team_size, stats.agents_used, stats.total_moves, stats.makespan
+    )
+
+
+def scalar_run_batch(spec, **kwargs):
+    """``run_batch`` with the vectorized reachable path swapped for the
+    scalar trial loop: the reference the fast path is held to."""
+    with mock.patch.object(
+        batchsim, "_run_batch_reachable_np", batchsim._run_batch_scalar
+    ):
+        return run_batch(spec, **kwargs)
+
+
+def _spec(**overrides) -> BatchScenarioSpec:
+    base = dict(
+        dimension=6,
+        strategy="visibility",
+        trials=200,
+        intruder="reachable",
+        delay="random",
+        rotate_homebase=True,
+        rng_seed=2005,
+    )
+    base.update(overrides)
+    return BatchScenarioSpec(**base)
+
+
 # --------------------------------------------------------------------- #
-# backend resolution
+# the surviving ``backend=`` argument
 # --------------------------------------------------------------------- #
 
 
-class TestResolveBackend:
-    def test_explicit_choices(self):
-        assert resolve_backend("pure") == "pure"
-        assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("auto") == "numpy"  # numpy importable here
+class TestBackendArgument:
+    def test_numpy_and_none_select_the_same_kernel(self):
+        spec = _spec(trials=40)
+        assert run_batch(spec, backend="numpy").to_payload() == run_batch(spec).to_payload()
+        assert measure_cell("clean", 5, backend="numpy")[0] == measure_cell("clean", 5)[0]
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(None) == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "pure")
-        assert resolve_backend(None) == "pure"
-        monkeypatch.setenv(BACKEND_ENV, "NumPy")  # case-insensitive
-        assert resolve_backend(None) == "numpy"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend("pure") == "pure"
-
-    def test_unknown_backend_raises(self):
+    @pytest.mark.parametrize("bad", ["pure", "auto", "cuda"])
+    def test_unknown_backend_raises(self, bad, tmp_path):
         with pytest.raises(ScheduleError, match="unknown kernel backend"):
-            resolve_backend("cuda")
-
-    def test_numpy_available(self):
-        assert numpy_available()
+            run_batch(_spec(trials=4), backend=bad)
+        with pytest.raises(ScheduleError, match="unknown kernel backend"):
+            measure_cell("clean", 3, backend=bad)
+        with pytest.raises(ScheduleError, match="unknown kernel backend"):
+            parallel_sweep(["clean"], [3], cache_dir=tmp_path, backend=bad)
 
 
 # --------------------------------------------------------------------- #
@@ -256,6 +316,57 @@ class TestVectorMT19937:
 # --------------------------------------------------------------------- #
 
 
+def _outcome(fn):
+    """A report, or the error a malformed schedule raises instead."""
+    try:
+        return ("report", fn())
+    except ReproError as exc:
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def _rebuilt(base: CompiledSchedule, edit) -> CompiledSchedule:
+    """``base`` with all six columns passed through ``edit`` (one list of
+    rows -> another) and the aggregate block re-derived to match."""
+    names = ("times", "agents", "srcs", "dsts", "kinds", "roles")
+    rows = edit(list(zip(*(getattr(base, name) for name in names))))
+    columns = {
+        name: type(getattr(base, name))("q", (row[i] for row in rows))
+        for i, name in enumerate(names)
+    }
+    stats = dataclasses.replace(
+        base.stats,
+        total_moves=len(rows),
+        makespan=max((row[0] for row in rows), default=0),
+        agents_used=len({row[1] for row in rows}),
+    )
+    return dataclasses.replace(base, stats=stats, **columns)
+
+
+def _inject(base: CompiledSchedule, mode: str, idx: int) -> CompiledSchedule:
+    """One fault at row ``idx``, applied to every column consistently."""
+    n = 1 << base.dimension
+
+    def row_edit(fn):
+        return lambda rows: rows[:idx] + fn(rows[idx], rows[idx + 1 :])
+
+    edits = {
+        "teleport": row_edit(lambda r, rest: [(*r[:3], (r[3] + 3) % n, *r[4:])] + rest),
+        "time_warp": row_edit(lambda r, rest: [(r[0] + 50, *r[1:])] + rest),
+        "self_loop": row_edit(lambda r, rest: [(*r[:3], r[2], *r[4:])] + rest),
+        "drop": row_edit(lambda r, rest: rest),
+        "duplicate": row_edit(lambda r, rest: [r, r] + rest),
+        "swap": row_edit(lambda r, rest: rest[:1] + [r] + rest[1:]),
+        "early": row_edit(lambda r, rest: [(r[0] - 1, *r[1:])] + rest),
+        "agent_bump": row_edit(lambda r, rest: [(r[0], r[1] + 1, *r[2:])] + rest),
+    }
+    return _rebuilt(base, edits[mode])
+
+
+FAULT_MODES = [
+    "teleport", "time_warp", "self_loop", "drop", "duplicate", "swap", "early", "agent_bump",
+]
+
+
 class TestVerifierParity:
     @QUICK
     @given(
@@ -265,67 +376,52 @@ class TestVerifierParity:
     )
     def test_clean_schedules_all_strategies_d_le_9(self, name, d, chunk_moves):
         compiled = compiled_for(name, d)
-        pure = batch_verify(compiled, backend="pure")
-        assert batch_verify(compiled, backend="numpy") == pure
-        assert (
-            batch_verify_chunks(compiled.iter_chunks(chunk_moves), backend="numpy")
-            == pure
-        )
-        assert pure.ok
+        reference = replay_verify(compiled)
+        assert batch_verify(compiled) == reference
+        assert batch_verify_chunks(compiled.iter_chunks(chunk_moves)) == reference
+        assert reference.ok
 
     @QUICK
     @given(
         name=st.sampled_from(ALL_STRATEGIES),
         d=st.integers(min_value=2, max_value=6),
+        mode=st.sampled_from(FAULT_MODES),
         data=st.data(),
     )
-    def test_corrupted_schedules_same_errors(self, name, d, data):
-        """Inject a violation and demand identical outcomes — a failing
-        report field-for-field, or the same :class:`ScheduleError` text
+    def test_corrupted_schedules_same_errors(self, name, d, mode, data):
+        """Inject a fault and demand the reference's outcome — a failing
+        report field-for-field, or the same error class and text
         (malformed streams raise rather than report)."""
-
-        def outcome(fn):
-            try:
-                return ("report", fn())
-            except ScheduleError as exc:
-                return ("raise", str(exc))
-
         base = compiled_for(name, d)
-        compiled = CompiledSchedule.from_bytes(base.to_bytes())
-        total = len(compiled.dsts)
-        idx = data.draw(st.integers(min_value=0, max_value=total - 1))
-        mode = data.draw(st.sampled_from(["teleport", "time_warp", "self_loop"]))
-        if mode == "teleport":
-            compiled.dsts[idx] = (compiled.dsts[idx] + 3) % (1 << d)
-        elif mode == "time_warp":
-            compiled.times[idx] = compiled.times[idx] + 50
-        else:
-            compiled.dsts[idx] = compiled.srcs[idx]
-        pure = outcome(lambda: batch_verify(compiled, backend="pure"))
-        fast = outcome(lambda: batch_verify(compiled, backend="numpy"))
-        assert fast == pure
-        # chunked-vs-monolithic wording differs in the pure path too
-        # ("chunk stream goes back in time" vs "move #k ..."), so the
-        # chunked comparison is chunked-pure vs chunked-numpy.
+        total = len(base.times)
+        idx = data.draw(st.integers(min_value=0, max_value=total - 2))
+        compiled = _inject(base, mode, idx)
+        assert _outcome(lambda: batch_verify(compiled)) == _outcome(
+            lambda: replay_verify(compiled)
+        )
+        # the chunk stream may itself reject a time-order fault before the
+        # verifier sees it ("chunk stream goes back in time"), so the
+        # chunked reference is the replay fed the same chunks
         chunk_moves = data.draw(st.integers(min_value=1, max_value=total + 1))
-        chunked_pure = outcome(
-            lambda: batch_verify_chunks(
-                compiled.iter_chunks(chunk_moves), backend="pure"
-            )
-        )
-        chunked_fast = outcome(
-            lambda: batch_verify_chunks(
-                compiled.iter_chunks(chunk_moves), backend="numpy"
-            )
-        )
-        assert chunked_fast == chunked_pure
+        assert _outcome(
+            lambda: batch_verify_chunks(compiled.iter_chunks(chunk_moves))
+        ) == _outcome(lambda: replay_verify_chunks(compiled.iter_chunks(chunk_moves)))
 
-    def test_env_selected_backend_same_verdict(self, monkeypatch):
-        compiled = compiled_for("visibility", 6)
-        monkeypatch.setenv(BACKEND_ENV, "pure")
-        pure = batch_verify(compiled)
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert batch_verify(compiled) == pure
+    def test_open_unit_structure_error_at_every_chunk_size(self):
+        """A malformed row in the time unit a chunk ends on is reported
+        in that chunk, before the stream's own time-order check on the
+        next chunk can fire."""
+        compiled = _inject(compiled_for("clean", 3), "swap", 16)
+        for chunk_moves in range(1, len(compiled.times) + 1):
+            fast = _outcome(lambda: batch_verify_chunks(compiled.iter_chunks(chunk_moves)))
+            assert fast == _outcome(
+                lambda: replay_verify_chunks(compiled.iter_chunks(chunk_moves))
+            ), chunk_moves
+        assert _outcome(lambda: batch_verify_chunks(compiled.iter_chunks(1))) == (
+            "raise",
+            "ScheduleError",
+            "move #16: agent 0 moves from 1 but is at 5",
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -333,37 +429,20 @@ class TestVerifierParity:
 # --------------------------------------------------------------------- #
 
 
-def _spec(**overrides) -> BatchScenarioSpec:
-    base = dict(
-        dimension=6,
-        strategy="visibility",
-        trials=200,
-        intruder="reachable",
-        delay="random",
-        rotate_homebase=True,
-        rng_seed=2005,
-    )
-    base.update(overrides)
-    return BatchScenarioSpec(**base)
-
-
 class TestBatchEngineParity:
     @pytest.mark.parametrize("delay", ["unit", "random", "adversarial"])
     @pytest.mark.parametrize("rotate", [False, True])
     def test_payload_identity_reachable(self, delay, rotate):
         spec = _spec(delay=delay, rotate_homebase=rotate)
-        fast = run_batch(spec, backend="numpy")
-        pure = run_batch(spec, backend="pure")
-        assert fast.to_payload() == pure.to_payload()
-        assert fast.summary() == pure.summary()
+        fast = run_batch(spec)
+        scalar = scalar_run_batch(spec)
+        assert fast.to_payload() == scalar.to_payload()
+        assert fast.summary() == scalar.summary()
 
     @pytest.mark.parametrize("strategy", ["clean", "visibility"])
     def test_payload_identity_across_strategies(self, strategy):
         spec = _spec(strategy=strategy, trials=120)
-        assert (
-            run_batch(spec, backend="numpy").to_payload()
-            == run_batch(spec, backend="pure").to_payload()
-        )
+        assert run_batch(spec).to_payload() == scalar_run_batch(spec).to_payload()
 
     @QUICK
     @given(
@@ -372,41 +451,37 @@ class TestBatchEngineParity:
         cut=st.integers(min_value=0, max_value=59),
     )
     def test_sharded_windows_match_pure(self, trials, seed, cut):
-        """Shard-for-shard and merged-vs-merged parity.  (Merged-vs-
-        serial counters differ in the *pure* path too — each shard
-        rebuilds its timelines — so that axis is not a backend
-        property.)"""
+        """Shard-for-shard and merged-vs-merged parity with the scalar
+        trial loop.  (Merged-vs-serial counters differ on the scalar loop
+        too — each shard rebuilds its timelines — so that axis is not a
+        property of the vectorized path.)"""
         spec = _spec(trials=trials, rng_seed=seed)
         cut = min(cut, trials)
         windows = [(0, cut), (cut, trials - cut)]
-        fast_parts, pure_parts = [], []
+        fast_parts, scalar_parts = [], []
         for start, count in windows:
             if count == 0:
                 continue
-            fast = run_batch(spec, start=start, count=count, backend="numpy")
-            pure = run_batch(spec, start=start, count=count, backend="pure")
-            assert fast.to_payload() == pure.to_payload()
+            fast = run_batch(spec, start=start, count=count)
+            scalar = scalar_run_batch(spec, start=start, count=count)
+            assert fast.to_payload() == scalar.to_payload()
             fast_parts.append(fast)
-            pure_parts.append(pure)
+            scalar_parts.append(scalar)
         merged_fast = BatchResult.merge(fast_parts)
-        merged_pure = BatchResult.merge(pure_parts)
-        assert merged_fast.to_payload() == merged_pure.to_payload()
-        assert merged_fast.summary() == merged_pure.summary()
-
-    def test_env_selected_backend_same_payload(self, monkeypatch):
-        spec = _spec(trials=80)
-        monkeypatch.setenv(BACKEND_ENV, "pure")
-        pure = run_batch(spec)
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert run_batch(spec).to_payload() == pure.to_payload()
+        merged_scalar = BatchResult.merge(scalar_parts)
+        assert merged_fast.to_payload() == merged_scalar.to_payload()
+        assert merged_fast.summary() == merged_scalar.summary()
 
     def test_non_reachable_policies_share_the_scalar_path(self):
-        """``inert``/walker policies have no vectorized fast path yet:
-        the numpy backend must fall through to the scalar engine and
-        stay byte-identical by construction."""
+        """``inert``/walker policies have no vectorized path yet: they
+        must score on the scalar trial loop and never reach the
+        vectorized one."""
+        def refuse(*args):
+            raise AssertionError("vectorized reachable path used")
+
         for intruder in ("inert", "walker"):
             spec = _spec(intruder=intruder, trials=60, delay="unit")
-            assert (
-                run_batch(spec, backend="numpy").to_payload()
-                == run_batch(spec, backend="pure").to_payload()
-            )
+            with mock.patch.object(batchsim, "_run_batch_reachable_np", refuse):
+                result = run_batch(spec)
+            assert result.count == 60
+            assert result.to_payload() == scalar_run_batch(spec).to_payload()

@@ -171,27 +171,23 @@ class TestBoundedMemory:
         assert peak < ceiling, f"peak {peak} exceeds O(chunk + n) ceiling {ceiling}"
 
     def test_numpy_packed_plane_ceiling_at_d16(self):
-        """Regression pin for the packed-plane backend's node tables.
+        """Regression pin for the bit-plane kernel's node tables.
 
         PR 9 showed the O(n) per-node tables — not the one-chunk stream
         window — dominate the streaming verifier's peak from d≈16 up.
-        The ``numpy`` backend packs them into flat int64 tables and
+        The bit-plane kernel packs them into flat int64 tables and
         ``uint64`` bit-planes; this pins that ceiling so a future change
         quietly reintroducing boxed per-node state fails loudly.
         Generation runs untraced (tracemalloc multiplies the pure-Python
         producer's cost ~7x and its allocations are not under test).
         """
-        from repro.fastpath import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
         strategy = get_strategy("clean")
         cube = Hypercube(16)
         chunk_moves = 4096
         chunks = list(strategy.generate_chunks(cube, chunk_moves))
         tracemalloc.start()
         try:
-            report = batch_verify_chunks(iter(chunks), backend="numpy")
+            report = batch_verify_chunks(iter(chunks))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
