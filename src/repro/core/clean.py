@@ -34,11 +34,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro._bitops import popcount_array
 from repro.analysis import formulas
 from repro.core.chunkstream import (
+    KIND_CODE,
+    ROLE_CODE,
+    BlockStream,
     ChunkStreamHeader,
+    TimeOrderedColumns,
     TimeOrderedEmitter,
     collect_stream,
 )
@@ -52,6 +59,15 @@ from repro.topology.hypercube import Hypercube
 __all__ = ["CleanStrategy"]
 
 SYNCHRONIZER_ID = 0
+
+# row codes of the columnar producer
+NAVIGATE = KIND_CODE[MoveKind.NAVIGATE]
+DISPATCH = KIND_CODE[MoveKind.DISPATCH]
+RETURN = KIND_CODE[MoveKind.RETURN]
+DEPLOY = KIND_CODE[MoveKind.DEPLOY]
+ESCORT = KIND_CODE[MoveKind.ESCORT]
+AGENT = ROLE_CODE[AgentRole.AGENT]
+SYNC = ROLE_CODE[AgentRole.SYNCHRONIZER]
 
 
 @dataclass
@@ -285,3 +301,240 @@ class CleanStrategy(Strategy):
                 "synchronizer_id": SYNCHRONIZER_ID,
             },
         }
+
+    def stream_blocks(self, hypercube: Hypercube, block_rows: int) -> BlockStream:
+        """Columnar producer: Algorithm 1 one level at a time, in numpy.
+
+        Same rows and footer as :meth:`stream_moves`, which stays the
+        reference.  The per-``Move`` generator makes its decisions node by
+        node; here each level's decisions are closed forms over arrays
+        aligned with the level's nodes (increasing order):
+
+        * the extras for level ``l`` leave the root when the synchronizer
+          gets back there, taken from the pool in ``(ready, id)`` order and
+          hired after it runs dry, and each walks ``l`` edges;
+        * the synchronizer reaches node ``i`` after navigating from node
+          ``i-1``, waits for its squad (ready at ``R_i``) and leaves after
+          ``2k_i`` escort steps, so ``leave_i = max(leave_{i-1} + nav_i,
+          R_i) + 2k_i``, a running maximum after subtracting the prefix
+          sums of ``nav + 2k``;
+        * a leaf's guard walks home when the synchronizer arrives, and the
+          ``j``-th child of a node of type ``T(k)`` is escorted at
+          ``start + 2j`` by the squad's agent ``k-1-j`` (the guard last).
+
+        Every row carries its emission index — its position in
+        :meth:`stream_moves`' program order — and the rows pass through
+        :class:`~repro.core.chunkstream.TimeOrderedColumns`, released at
+        the synchronizer clock exactly like the per-``Move`` emitter.
+        Rows are built for node batches of about ``block_rows`` rows, so
+        the producer holds a batch plus one level's dispatch burst.
+        """
+        d = hypercube.d
+        if d == 0:
+            return {"team_size": 1, "metadata": {"extras_per_level": {}, "active_per_level": {}}}
+        out = TimeOrderedColumns(block_rows)
+
+        # Step 1: the synchronizer escorts hired agents 1..d to the root's
+        # children, back at the root after each.
+        nodes = np.left_shift(1, np.arange(d, dtype=np.int64))
+        guard = np.arange(1, d + 1, dtype=np.int64)
+        begin = 2 * np.arange(d, dtype=np.int64)
+        out.emit(*_escort_rows(
+            np.zeros(d, dtype=np.int64), nodes, guard, begin, 3 * np.arange(d, dtype=np.int64)
+        ))
+        ready = begin + 1
+        msb = np.arange(1, d + 1, dtype=np.int64)
+        clock = 2 * d
+        seq = 3 * d
+        position = 0
+        next_id = d + 1
+        pool_ready = np.zeros(0, dtype=np.int64)
+        pool_id = np.zeros(0, dtype=np.int64)
+        yield from out.release(clock)
+        extras_per_level: Dict[int, int] = {}
+        active_per_level: Dict[int, int] = {0: d + 1}
+
+        for level in range(1, d):
+            m = len(nodes)
+            k = d - msb
+            # 2.1 -- back to the root, then dispatch the extras
+            if position:
+                out.emit(*_walk_rows(d, [0], [position], [0], [clock], [seq], NAVIGATE, SYNC))
+                steps = int(position).bit_count()
+                clock += steps
+                seq += steps
+                position = 0
+            extras = np.maximum(k - 1, 0)
+            total = int(extras.sum())
+            first_extra = np.cumsum(extras) - extras
+            extra_id = np.zeros(0, dtype=np.int64)
+            if total:
+                order = np.lexsort((pool_id, pool_ready))
+                taken = order[:total]
+                hired = total - len(taken)
+                extra_id = np.concatenate(
+                    (pool_id[taken], np.arange(next_id, next_id + hired, dtype=np.int64))
+                )
+                extra_start = np.maximum(
+                    np.concatenate((pool_ready[taken], np.zeros(hired, dtype=np.int64))), clock
+                )
+                pool_ready = pool_ready[order[total:]]
+                pool_id = pool_id[order[total:]]
+                next_id += hired
+                owner = nodes[np.repeat(np.arange(m), extras)]
+                walks = max(1, block_rows // level)
+                for lo in range(0, total, walks):
+                    part = slice(lo, lo + walks)
+                    count = len(extra_id[part])
+                    out.emit(*_walk_rows(
+                        d,
+                        extra_id[part],
+                        np.zeros(count, dtype=np.int64),
+                        owner[part],
+                        extra_start[part],
+                        seq + level * np.arange(lo, lo + count, dtype=np.int64),
+                        DISPATCH,
+                        AGENT,
+                    ))
+                seq += total * level
+                # a squad is complete once its last extra arrives
+                has = extras > 0
+                ready[has] = np.maximum(
+                    ready[has], np.maximum.reduceat(extra_start + level, first_extra[has])
+                )
+            extras_per_level[level] = total
+            active_per_level[level] = m + total + 1
+
+            # 2.2 / 2.3 -- the synchronizer walks the level in order
+            prev = np.concatenate(([0], nodes[:-1]))
+            nav = popcount_array(prev ^ nodes)
+            cost = nav + 2 * k
+            spent = np.cumsum(cost)
+            leave = np.maximum(np.maximum.accumulate(ready - (spent - cost) - nav), clock) + spent
+            arrive = np.concatenate(([clock], leave[:-1]))  # leaves the previous node
+            start = leave - 2 * k
+            rows = nav + np.where(k == 0, level, 3 * k)
+            done = np.cumsum(rows)
+            first_seq = seq + done - rows
+            children: List[Tuple[np.ndarray, ...]] = []
+            lo = 0
+            while lo < m:
+                before = int(done[lo - 1]) if lo else 0
+                hi = max(lo + 1, int(np.searchsorted(done, before + block_rows, side="right")))
+                batch = slice(lo, hi)
+                parts = [_walk_rows(
+                    d,
+                    np.zeros(hi - lo, dtype=np.int64),
+                    prev[batch],
+                    nodes[batch],
+                    arrive[batch],
+                    first_seq[batch],
+                    NAVIGATE,
+                    SYNC,
+                )]
+                leaf = np.flatnonzero(k[batch] == 0) + lo
+                parts.append(_walk_rows(
+                    d,
+                    guard[leaf],
+                    nodes[leaf],
+                    np.zeros(len(leaf), dtype=np.int64),
+                    start[leaf],
+                    first_seq[leaf] + nav[leaf],
+                    RETURN,
+                    AGENT,
+                ))
+                pool_ready = np.concatenate((pool_ready, start[leaf] + level))
+                pool_id = np.concatenate((pool_id, guard[leaf]))
+                # one escort per child edge, children in increasing order
+                node = np.repeat(np.arange(lo, hi), k[batch])
+                j = np.arange(len(node)) - np.repeat(np.cumsum(k[batch]) - k[batch], k[batch])
+                mover = guard[node]
+                extra = j < k[node] - 1
+                mover[extra] = extra_id[first_extra[node[extra]] + k[node[extra]] - 2 - j[extra]]
+                child = nodes[node] | np.left_shift(1, msb[node] + j)
+                begin = start[node] + 2 * j
+                parts.append(_escort_rows(
+                    nodes[node], child, mover, begin, first_seq[node] + nav[node] + 3 * j
+                ))
+                out.emit(*(np.concatenate(cols) for cols in zip(*parts)))
+                children.append((child, mover, begin + 1, msb[node] + j + 1))
+                yield from out.release(int(leave[hi - 1]))
+                lo = hi
+            clock = int(leave[-1])
+            position = int(nodes[-1])
+            seq += int(done[-1])
+            nodes, guard, ready, msb = (np.concatenate(cols) for cols in zip(*children))
+            order = np.argsort(nodes)
+            nodes, guard, ready, msb = nodes[order], guard[order], ready[order], msb[order]
+
+        # the guard of the last node, 11...1, walks home
+        home = np.zeros(1, dtype=np.int64)
+        out.emit(*_walk_rows(d, guard, nodes, home, np.maximum(ready, clock), [seq], RETURN, AGENT))
+        yield from out.drain()
+        return {
+            "team_size": next_id,
+            "metadata": {
+                "extras_per_level": extras_per_level,
+                "active_per_level": active_per_level,
+                "synchronizer_id": SYNCHRONIZER_ID,
+            },
+        }
+
+
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _walk_rows(
+    d: int, agent: object, src: object, dst: object, start: object, seq: object, kind: int, role: int
+) -> _Rows:
+    """Rows of walks along :meth:`Hypercube.path_via_meet`, one walk per
+    entry: ``agent`` goes ``src -> dst`` clearing the bits it must lose
+    (highest first), then setting the bits it must gain (lowest first),
+    one edge per time unit after ``start``, with emission indices counting
+    up from ``seq``.  Columns: ``(time, seq, agent, src, dst, kind,
+    role)``, walk after walk."""
+    agent, src, dst, start, seq = (
+        np.asarray(col, dtype=np.int64) for col in (agent, src, dst, start, seq)
+    )
+    bits = np.arange(d, dtype=np.int64)
+    order = np.concatenate((bits[::-1], bits))
+    flips = np.concatenate(
+        ((src & ~dst)[:, None] >> bits[::-1], (dst & ~src)[:, None] >> bits), axis=1
+    ) & 1
+    walk, column = np.nonzero(flips)
+    step = np.left_shift(1, order[column])
+    lengths = flips.sum(axis=1)
+    first = np.cumsum(lengths) - lengths
+    offset = np.arange(len(walk)) - first[walk]
+    moved = np.cumsum(step)
+    moved -= (moved - step)[first[walk]]
+    to = src[walk] ^ moved
+    count = len(walk)
+    return (
+        start[walk] + 1 + offset,
+        seq[walk] + offset,
+        agent[walk],
+        to ^ step,
+        to,
+        np.full(count, kind, dtype=np.int64),
+        np.full(count, role, dtype=np.int64),
+    )
+
+
+def _escort_rows(
+    node: np.ndarray, child: np.ndarray, agent: np.ndarray, begin: np.ndarray, seq: np.ndarray
+) -> _Rows:
+    """Rows of escorts down tree edges ``node -> child`` starting at
+    ``begin``: the agent steps down while the synchronizer (agent 0)
+    steps down with it and back up, emission indices ``seq .. seq + 2``."""
+    count = len(node)
+    sync = np.zeros(count, dtype=np.int64)
+    return (
+        np.concatenate((begin + 1, begin + 1, begin + 2)),
+        np.concatenate((seq, seq + 1, seq + 2)),
+        np.concatenate((agent, sync, sync)),
+        np.concatenate((node, node, child)),
+        np.concatenate((child, child, node)),
+        np.repeat(np.array([DEPLOY, ESCORT, ESCORT], dtype=np.int64), count),
+        np.repeat(np.array([AGENT, SYNC, SYNC], dtype=np.int64), count),
+    )

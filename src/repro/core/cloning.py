@@ -23,8 +23,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
+import numpy as np
+
+from repro._bitops import msb_position_array
 from repro.analysis import formulas
-from repro.core.chunkstream import ChunkStreamHeader, collect_stream
+from repro.core.chunkstream import (
+    KIND_CODE,
+    ROLE_CODE,
+    BlockStream,
+    ChunkStreamHeader,
+    collect_stream,
+)
 from repro.core.schedule import Move, MoveKind, Schedule
 from repro.core.states import AgentRole
 from repro.core.strategy import Strategy, register
@@ -102,4 +111,64 @@ class CloningStrategy(Strategy):
             # the original plus every clone created
             "team_size": next_clone,
             "metadata": {"wave_sizes": wave_sizes, "final_leaves": sorted(resident)},
+        }
+
+    def stream_blocks(self, hypercube: Hypercube, block_rows: int) -> BlockStream:
+        """Columnar producer: each wave's rows computed from its class.
+
+        Wave ``i`` crosses the ``d - i`` child edges of every node of
+        :math:`C_i` in ``(node, child)`` order.  The first child edge
+        carries the node's resident, every other one a clone numbered in
+        that same order from the wave's first clone id, so the movers and
+        hence the residents of the next class follow in closed form from
+        the residents of the classes before it.  Same rows and footer as
+        :meth:`stream_moves`.
+        """
+        d = hypercube.d
+        # first clone id created in each wave: wave c clones |C_c| * (k - 1)
+        # agents, k = d - c children per node
+        first_clone = [1]
+        for wave in range(d):
+            width = 1 if wave == 0 else 1 << (wave - 1)
+            first_clone.append(first_clone[-1] + width * (d - wave - 1))
+        clones = np.array(first_clone, dtype=np.int64)
+        resident = np.zeros(1, dtype=np.int64)  # of nodes [0, 2**wave)
+        deploy = KIND_CODE[MoveKind.DEPLOY]
+        agent = ROLE_CODE[AgentRole.AGENT]
+        wave_sizes: Dict[int, int] = {}
+        for wave in range(d):
+            first = 0 if wave == 0 else 1 << (wave - 1)
+            k = d - wave
+            rows = (len(resident) - first) * k
+            for start in range(0, rows, block_rows):
+                flat = np.arange(start, min(rows, start + block_rows), dtype=np.int64)
+                node, child = np.divmod(flat, k)
+                srcs = first + node
+                movers = np.where(
+                    child == 0,
+                    resident[first:][node],
+                    first_clone[wave] + node * (k - 1) + child - 1,
+                )
+                yield (
+                    np.full(len(flat), wave + 1, dtype=np.int64),
+                    movers,
+                    srcs,
+                    srcs | (1 << (wave + child)),
+                    np.full(len(flat), deploy, dtype=np.int64),
+                    np.full(len(flat), agent, dtype=np.int64),
+                )
+            wave_sizes[wave] = rows
+            if wave + 1 < d:  # residents of class C_{wave+1}: children of [0, 2**wave)
+                parents = np.arange(len(resident), dtype=np.int64)
+                msb = msb_position_array(parents)
+                child = wave - msb
+                index = parents - (np.left_shift(1, msb) >> 1)  # position in its class
+                clone = clones[msb] + index * (d - msb - 1) + child - 1
+                resident = np.concatenate((resident, np.where(child == 0, resident, clone)))
+        return {
+            "team_size": first_clone[-1],
+            "metadata": {
+                "wave_sizes": wave_sizes,
+                "final_leaves": list(range(1 << (d - 1), 1 << d)) if d else [0],
+            },
         }

@@ -19,8 +19,11 @@ from typing import Dict, Iterator, List, Optional, Type
 
 from repro.core.chunkstream import (
     DEFAULT_CHUNK_MOVES,
+    BlockStream,
     ChunkStreamHeader,
     ScheduleChunk,
+    assemble_chunks,
+    block_rows_for,
     chunk_move_stream,
     chunks_from_schedule,
 )
@@ -121,6 +124,22 @@ class Strategy(abc.ABC):
             "metadata": dict(schedule.metadata),
         }
 
+    def stream_blocks(
+        self, hypercube: Hypercube, block_rows: int
+    ) -> Optional[BlockStream]:
+        """The columnar twin of :meth:`stream_moves`, if the strategy has one.
+
+        A generator yielding the schedule's rows in replay order as
+        :data:`~repro.core.chunkstream.Block`\\ s of at most
+        ``block_rows`` rows — six int64 columns, kinds and roles encoded —
+        whose ``return`` value is the same footer :meth:`stream_moves`
+        returns.  Its rows must equal :meth:`stream_moves`' byte for
+        byte; the per-``Move`` generator stays the reference it is tested
+        against.  ``None`` (this default): no columnar producer, so
+        :meth:`generate_chunks` packs :meth:`stream_moves` instead.
+        """
+        return None
+
     def generate_chunks(
         self, hypercube: Hypercube, chunk_moves: int = DEFAULT_CHUNK_MOVES
     ) -> Iterator[ScheduleChunk]:
@@ -133,7 +152,11 @@ class Strategy(abc.ABC):
         (:meth:`expected_team_size` — the streaming verifier seeds the
         homebase guards from it); a strategy without one falls back to
         materialize-then-chunk, which is still chunked for consumers but
-        not bounded at the producer.
+        not bounded at the producer.  Otherwise the rows come from
+        :meth:`stream_blocks` when the strategy has a columnar producer,
+        else from :meth:`stream_moves`; either way one assembler
+        (:func:`~repro.core.chunkstream.assemble_chunks`) cuts them into
+        chunks.  Subclasses plug in a producer, never override this.
         """
         team = self.expected_team_size(hypercube.d)
         if team is None:
@@ -145,7 +168,10 @@ class Strategy(abc.ABC):
             uses_cloning=self.uses_cloning,
             team_size=team,
         )
-        return chunk_move_stream(header, self.stream_moves(hypercube), chunk_moves)
+        blocks = self.stream_blocks(hypercube, block_rows_for(chunk_moves))
+        if blocks is None:
+            return chunk_move_stream(header, self.stream_moves(hypercube), chunk_moves)
+        return assemble_chunks(header, blocks, chunk_moves)
 
     def run_chunks(
         self, dimension: int, chunk_moves: int = DEFAULT_CHUNK_MOVES

@@ -26,8 +26,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+import numpy as np
+
+from repro._bitops import msb_position_array
 from repro.analysis import formulas
-from repro.core.chunkstream import ChunkStreamHeader, collect_stream
+from repro.core.chunkstream import (
+    KIND_CODE,
+    ROLE_CODE,
+    BlockStream,
+    ChunkStreamHeader,
+    collect_stream,
+)
 from repro.core.schedule import Move, MoveKind, Schedule
 from repro.core.states import AgentRole
 from repro.core.strategy import Strategy, register
@@ -143,6 +152,61 @@ class VisibilityStrategy(Strategy):
         return {  # type: ignore[return-value]
             "team_size": self._final_team_size(team),
             "metadata": {"wave_sizes": wave_sizes, "final_leaves": sorted(stationed)},
+        }
+
+    def stream_blocks(self, hypercube: Hypercube, block_rows: int) -> BlockStream:
+        """Columnar producer: each wave's rows computed from its class.
+
+        Squads stay contiguous ranges of agent ids (each node forwards
+        contiguous slices of its squad), so a node is described by the
+        first id ``lo`` of its squad.  Wave ``i`` moves every squad on
+        :math:`C_i`; all its nodes have type ``T(d-i)``, so one pattern —
+        which child each squad position goes to — serves the whole wave,
+        and the wave's rows are ``(node, position)`` pairs in row-major
+        order.  A child across tree dimension ``p`` of a node whose
+        children start at dimension ``c`` receives the squad slice at
+        offset ``G[p] - G[c]``, with ``G`` the prefix sums of the
+        per-dimension squad sizes; that gives ``lo`` for the next class.
+        Same rows and footer as :meth:`stream_moves` (a subclass that
+        overrides its per-``Move`` hooks must override this too).
+        """
+        d = hypercube.d
+        team = formulas.visibility_agents(d)
+        # agents a child across dimension p receives, and their prefix sums
+        take = np.array(
+            [formulas.agents_for_type(d - p - 1) for p in range(d)], dtype=np.int64
+        )
+        offsets = np.concatenate(([0], np.cumsum(take)))
+        lo = np.zeros(1, dtype=np.int64)  # squad start of nodes [0, 2**wave)
+        deploy = KIND_CODE[MoveKind.DEPLOY]
+        agent = ROLE_CODE[AgentRole.AGENT]
+        wave_sizes: Dict[int, int] = {}
+        for wave in range(d):
+            first = 0 if wave == 0 else 1 << (wave - 1)
+            width = len(lo) - first  # |C_wave|
+            size = formulas.agents_for_type(d - wave)
+            child_bit = np.repeat(np.arange(wave, d, dtype=np.int64), take[wave:])
+            rows = width * size
+            for start in range(0, rows, block_rows):
+                flat = np.arange(start, min(rows, start + block_rows), dtype=np.int64)
+                node, pos = np.divmod(flat, size)
+                srcs = first + node
+                yield (
+                    np.full(len(flat), wave + 1, dtype=np.int64),
+                    lo[first:][node] + pos,
+                    srcs,
+                    srcs | (1 << child_bit[pos]),
+                    np.full(len(flat), deploy, dtype=np.int64),
+                    np.full(len(flat), agent, dtype=np.int64),
+                )
+            wave_sizes[wave] = rows
+            if wave + 1 < d:  # squads of class C_{wave+1}, children of [0, 2**wave)
+                msb = msb_position_array(np.arange(len(lo)))
+                lo = np.concatenate((lo, lo + offsets[wave] - offsets[msb]))
+        leaves = list(range(1 << (d - 1), 1 << d)) if d else [0]
+        return {
+            "team_size": self._final_team_size(team),
+            "metadata": {"wave_sizes": wave_sizes, "final_leaves": leaves},
         }
 
     # hooks overridden by the cloning subclass ------------------------- #

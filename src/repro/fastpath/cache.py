@@ -459,9 +459,8 @@ class ScheduleCache:
                 if role_values != list(ROLES):  # pragma: no cover - enum reorder
                     cols[5] = array("q", (ROLE_CODE[role_values[v]] for v in cols[5]))
                 try:
-                    for i in range(n_rows):
-                        scanner.add(cols[0][i], cols[1][i], cols[4][i], cols[5][i])
-                except (IndexError, ScheduleError) as exc:
+                    scanner.fold(cols[0], cols[1], cols[4], cols[5])
+                except ScheduleError as exc:
                     raise CompiledScheduleError(
                         f"chunk {index} holds malformed moves: {exc}"
                     ) from exc

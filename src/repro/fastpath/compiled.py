@@ -31,13 +31,15 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.core.chunkstream import DEFAULT_CHUNK_MOVES, AggregateScanner
+import numpy as np
 
 from repro.core.chunkstream import (
+    DEFAULT_CHUNK_MOVES,
     KIND_CODE,
     KINDS,
     ROLE_CODE,
     ROLES,
+    AggregateScanner,
     ChunkStreamHeader,
     ScheduleChunk,
 )
@@ -221,8 +223,7 @@ class CompiledSchedule:
         <repro.core.strategy.Strategy.generate_chunks>` would have
         produced for the same schedule and block size — the in-memory
         warm path of the chunk protocol.  Per-chunk ``stats_so_far``
-        blocks are re-derived by an integer column scan; the final
-        chunk's block is asserted against the stored stats header.
+        blocks are re-derived by folding each chunk's column block.
         """
         if chunk_moves < 1:
             raise CompiledScheduleError(
@@ -230,13 +231,18 @@ class CompiledSchedule:
             )
         header = self.stream_header()
         total = len(self.times)
+        times, agents, kinds, roles = (
+            np.asarray(col, dtype=np.int64)
+            for col in (self.times, self.agents, self.kinds, self.roles)
+        )
         scanner = AggregateScanner()
         index = 0
         offset = 0
         while True:
             end = min(offset + chunk_moves, total)
-            for i in range(offset, end):
-                scanner.add(self.times[i], self.agents[i], self.kinds[i], self.roles[i])
+            scanner.fold(
+                times[offset:end], agents[offset:end], kinds[offset:end], roles[offset:end]
+            )
             is_last = end == total
             yield ScheduleChunk(
                 header=header,

@@ -886,9 +886,9 @@ def _check_cache_params(mod: _Module) -> List[Finding]:
     dimension, cache_params())`` — nothing else.  A constructor
     parameter stored on ``self`` and read anywhere in the generation
     closure (``generate``/``generate_chunks``/``stream_moves``/
-    ``expected_team_size`` plus every helper method they reach through
-    ``self.<m>()``) steers the
-    schedule bytes, so leaving it out of ``cache_params`` makes two
+    ``stream_blocks``/``expected_team_size`` plus every helper method they
+    reach through ``self.<m>()``) steers the schedule bytes, so leaving it
+    out of ``cache_params`` makes two
     differently-configured instances address the same entry: whichever
     runs second is served the first one's schedule.  Knobs assigned from
     constants (internal state, memo slots) are not configuration and do
@@ -901,7 +901,13 @@ def _check_cache_params(mod: _Module) -> List[Finding]:
         }
         roots = [
             name
-            for name in ("generate", "stream_moves", "generate_chunks", "expected_team_size")
+            for name in (
+                "generate",
+                "stream_moves",
+                "stream_blocks",
+                "generate_chunks",
+                "expected_team_size",
+            )
             if name in methods
         ]
         init = methods.get("__init__")

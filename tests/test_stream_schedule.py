@@ -13,7 +13,8 @@ Four contracts:
   of megabytes);
 * **warm-path materialization** — columnar consumers served from a warm
   cache (``compiled_for``, ``stream_chunks``) construct zero ``Move``
-  objects; only ``schedule_for`` decompiles;
+  objects, and so does a cold streamed cell of a strategy with a
+  columnar producer; only ``schedule_for`` decompiles;
 * **chunked cache robustness** — the v2 blob round-trips cold→warm with
   per-chunk counters, splices over a corrupt chunk by regenerating, and
   each layout falls back to the other so a cell is stored once.
@@ -243,6 +244,16 @@ class TestWarmPathNoMoves:
         assert report.ok
         assert cache.stats.hits == 1 and cache.stats.chunk_hits > 0
 
+    @pytest.mark.parametrize("name", ["clean", "visibility", "synchronous", "cloning"])
+    def test_cold_streaming_cell_builds_no_moves(self, name, tmp_path, monkeypatch):
+        """The columnar producers: a cold streamed, verified and stored
+        cell never builds a ``Move``, not even at the producer."""
+        cache = ScheduleCache(tmp_path)
+        no_moves_allowed(monkeypatch)
+        values, _, provenance = measure_cell(name, 6, stream=True, cache=cache, chunk_moves=64)
+        assert provenance["source"] == "generated"
+        assert cache.stats.stores == 1 and values["moves"] > 0
+
     def test_schedule_for_does_materialize(self, tmp_path, monkeypatch):
         """The probe is real: the decompiling accessor must trip it."""
         cache = ScheduleCache(tmp_path)
@@ -352,6 +363,29 @@ class TestChunkedCache:
         # the regenerated entry is republished and clean again
         self.warm(cache, strategy, 5, chunk_moves=16)
         assert cache.stats.corrupt == 1
+
+    def test_negative_kind_code_is_corrupt(self, tmp_path):
+        """A chunk record whose rows carry a kind code of -1 is malformed:
+        the reader counts the entry corrupt and regenerates it, instead of
+        counting the row under the last enum member and serving it."""
+        strategy = get_strategy("visibility")
+        chunks = list(strategy.generate_chunks(Hypercube(4), 8))
+        chunks[0].kinds[0] = -1
+        writer = ScheduleCache(tmp_path)
+        fp = writer.fingerprint_of(strategy, 4)
+        for _ in writer._write_chunk_stream(fp, rechunk(iter(chunks), 8), 8):
+            pass
+        assert writer.chunk_path_for(fp).exists()
+        cache = ScheduleCache(tmp_path)
+        served = list(cache.stream_chunks(strategy, 4, chunk_moves=8))
+        assert cache.stats.corrupt == 1 and cache.stats.hits == 0
+        assert CompiledSchedule.from_chunks(iter(served)).to_bytes() == (
+            CompiledSchedule.from_schedule(strategy.generate(Hypercube(4))).to_bytes()
+        )
+        # the regenerated entry is clean
+        again = ScheduleCache(tmp_path)
+        list(again.stream_chunks(strategy, 4, chunk_moves=8))
+        assert again.stats.corrupt == 0 and again.stats.hits == 1
 
     def test_v1_entry_serves_chunk_stream(self, tmp_path):
         cache = ScheduleCache(tmp_path)
