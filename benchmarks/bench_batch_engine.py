@@ -4,8 +4,9 @@ Not a paper artifact: quantifies what ``repro.fastpath.batchsim`` buys.
 A Monte Carlo campaign over (homebase x delay x intruder) scenarios used
 to mean one full discrete-event :class:`~repro.sim.engine.Engine` run
 per trial; the batch engine replays the compiled schedule once per
-distinct homebase and scores every scenario against the shared
-per-time-unit mask timeline.
+shard and scores every scenario against that shared per-time-unit mask
+timeline, a trial launched from another homebase in coordinates
+relative to it (the XOR automorphism).
 
 Two measurements, one JSON artifact:
 
@@ -15,13 +16,18 @@ Two measurements, one JSON artifact:
   :func:`~repro.sim.replay.execute_schedule_on_engine` runs (the engine
   cannot realistically loop 10k times, which is the point);
 * ``crosscheck`` — a seed-randomized sample of trials replayed on the
-  real engine, asserting identical capture verdicts and capture times.
+  real engine, asserting identical capture verdicts and capture times:
+  trials of that campaign, and trials of a ``walker`` campaign with
+  rotating homebases (d=8), each replayed on
+  ``Engine(intruder="walker", intruder_seed=...)`` at its homebase —
+  which exercises the walker's tie-breaking draw in a frame relative to
+  the shared timeline.
 
 Run ``python benchmarks/bench_batch_engine.py`` to measure and write
 ``BENCH_batch_engine.json`` at the repo root.  Set
-``BATCH_ENGINE_SMOKE=1`` for the CI smoke mode (d=5, few trials, no
-timing floor — shared runners jitter; the full mode asserts the batch
-path is >= 50x the scalar baseline).
+``BATCH_ENGINE_SMOKE=1`` for the CI smoke mode (d=5 for both campaigns,
+few trials, no timing floor — shared runners jitter; the full mode
+asserts the batch path is >= 50x the scalar baseline).
 """
 
 import json
@@ -39,26 +45,41 @@ DIMENSION = 5 if SMOKE else 10
 TRIALS = 200 if SMOKE else 10_000
 SCALAR_SAMPLE = 5 if SMOKE else 20
 CROSSCHECK_SAMPLE = 5 if SMOKE else 10
+WALKER_DIMENSION = 5 if SMOKE else 8
+WALKER_TRIALS = 40 if SMOKE else 200
 
 #: full-mode acceptance floor (smoke mode only checks correctness)
 MIN_SPEEDUP = 50.0
 
 
-def _spec(dimension=None, trials=None):
+def _spec(dimension=None, trials=None, intruder="reachable"):
     from repro.fastpath.batchsim import BatchScenarioSpec
 
     return BatchScenarioSpec(
         dimension=DIMENSION if dimension is None else dimension,
         strategy=STRATEGY,
         trials=TRIALS if trials is None else trials,
-        intruder="reachable",
+        intruder=intruder,
         delay="random",
         rotate_homebase=True,
         rng_seed=2005,
     )
 
 
-def _scalar_capture(schedule, topology):
+def _intruder_seeds(spec):
+    """Each trial's intruder seed, re-derived from its sub-stream in the
+    documented draw order: homebase, intruder seed, delay seed."""
+    master = random.Random(spec.rng_seed)
+    seeds = []
+    for _ in range(spec.trials):
+        trial = random.Random(master.getrandbits(64))
+        if spec.rotate_homebase:
+            trial.randrange(1 << spec.dimension)
+        seeds.append(trial.getrandbits(64))
+    return seeds
+
+
+def _scalar_capture(schedule, topology, intruder="reachable", intruder_seed=0):
     """One scripted engine run; returns (captured, capture_time)."""
     from repro.sim import replay as replay_mod
     from repro.sim.engine import Engine
@@ -77,7 +98,8 @@ def _scalar_capture(schedule, topology):
         homebase=schedule.homebase,
         delay=UnitDelay(),
         global_clock=True,
-        intruder="reachable",
+        intruder=intruder,
+        intruder_seed=intruder_seed,
     )
     capture = []
 
@@ -119,19 +141,35 @@ def timed_scalar_baseline(homebases):
     return per_trial
 
 
+def timed_walker_campaign():
+    """(batch_seconds, result) for the rotating-homebase walker campaign."""
+    from repro.fastpath.batchsim import compile_for_spec, run_batch
+
+    spec = _spec(dimension=WALKER_DIMENSION, trials=WALKER_TRIALS, intruder="walker")
+    compiled = compile_for_spec(spec)
+    start = time.perf_counter()
+    result = run_batch(spec, compiled=compiled)
+    return time.perf_counter() - start, result
+
+
 def crosscheck(result, sample_seed=0):
-    """Replay sampled trials on the real engine; verdicts must agree."""
+    """Replay sampled trials on the real engine, each at its homebase
+    with its intruder seed; verdicts and capture times must agree."""
     from repro.core.strategy import get_strategy
     from repro.topology.hypercube import Hypercube
 
-    base = get_strategy(STRATEGY).run(result.spec.dimension)
-    topology = Hypercube(result.spec.dimension)
+    spec = result.spec
+    base = get_strategy(STRATEGY).run(spec.dimension)
+    topology = Hypercube(spec.dimension)
+    intruder_seeds = _intruder_seeds(spec)
     rng = random.Random(sample_seed)
     indices = rng.sample(range(result.count), min(CROSSCHECK_SAMPLE, result.count))
     for i in indices:
         homebase = result.homebases[i]
         schedule = base.translated(homebase) if homebase else base
-        captured, capture_time = _scalar_capture(schedule, topology)
+        captured, capture_time = _scalar_capture(
+            schedule, topology, spec.intruder, intruder_seeds[result.start + i]
+        )
         assert captured == result.captured[i], f"trial {i}: verdict diverged"
         assert capture_time == result.capture_units[i], (
             f"trial {i}: engine captured at {capture_time}, "
@@ -166,6 +204,8 @@ def main() -> None:
     scalar_seconds = scalar_per_trial * result.count
     speedup = scalar_seconds / batch_seconds if batch_seconds else None
     checked = crosscheck(result)
+    walker_seconds, walker = timed_walker_campaign()
+    walker_checked = crosscheck(walker)
 
     per_trial_us = batch_seconds / result.count * 1e6
     print(
@@ -180,6 +220,12 @@ def main() -> None:
     )
     print(f"speedup       {speedup:9.1f}x  (floor {MIN_SPEEDUP}x, smoke={SMOKE})")
     print(f"crosscheck    {checked} sampled trials match the engine exactly")
+    print(
+        f"walkers       {STRATEGY} d={WALKER_DIMENSION}, {walker.count} trials, "
+        f"{len(set(walker.homebases))} distinct homebases, "
+        f"{walker_seconds * 1000:.1f} ms; {walker_checked} sampled trials match "
+        "Engine(intruder='walker') exactly"
+    )
 
     if not SMOKE:
         assert speedup >= MIN_SPEEDUP, (
@@ -189,9 +235,11 @@ def main() -> None:
     payload = {
         "benchmark": "batch_engine",
         "description": (
-            "scenario-batch Monte Carlo campaign via shared per-homebase "
-            "mask timelines vs. one scripted discrete-event engine run per "
-            "trial, with an engine cross-check on sampled trials"
+            "scenario-batch Monte Carlo campaign on one shared mask timeline "
+            "per shard, trials scored in homebase-relative coordinates, vs. "
+            "one scripted discrete-event engine run per trial, with an engine "
+            "cross-check on sampled trials of it and of a rotating-homebase "
+            "walker campaign"
         ),
         "smoke": SMOKE,
         "strategy": STRATEGY,
@@ -210,6 +258,15 @@ def main() -> None:
                 "counters": result.counters,
             },
             "crosscheck": {"sampled_trials": checked, "passed": True},
+            "walker_crosscheck": {
+                "dimension": WALKER_DIMENSION,
+                "trials": walker.count,
+                "distinct_homebases": len(set(walker.homebases)),
+                "batch_seconds": round(walker_seconds, 6),
+                "sampled_trials": walker_checked,
+                "passed": True,
+                "counters": walker.counters,
+            },
             "summary": result.summary(),
         },
     }

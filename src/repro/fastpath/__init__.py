@@ -19,8 +19,9 @@ makes re-measuring and re-verifying them cheap:
 * :func:`measure_schedule` — the single metric-collection helper behind
   both the serial sweep and the executor's ``sweep_cell`` task;
 * :func:`run_batch` — the scenario-batch Monte Carlo engine: one
-  columnar timeline replay per homebase, thousands of intruder/delay
-  scenarios scored against it (see :mod:`repro.fastpath.batchsim`);
+  columnar timeline replay per shard, thousands of intruder/delay/
+  homebase scenarios scored against it in homebase-relative
+  coordinates (see :mod:`repro.fastpath.batchsim`);
 * :mod:`repro.fastpath.npkernels` — the bit-plane kernels, the one fast
   path: packed chunk verification of every non-cloning schedule and
   array-of-scenarios Monte Carlo for the ``reachable`` policy,

@@ -6,11 +6,25 @@ of small variations of it — intruder placement × intruder policy × delay
 adversary × homebase translation.  Looping ``Engine.run`` pays the full
 discrete-event machinery per trial even though every trial replays the
 *same* move columns.  This module replays the columns **once per
-homebase** into a :class:`ScenarioTimeline` — per-time-unit guard/clean
+shard** into a :class:`ScenarioTimeline` — per-time-unit guard/clean
 bitmasks plus cumulative move counts — and then scores each scenario
 against that shared timeline with a handful of big-integer operations,
 so a 10k-trial sweep is one columnar replay plus 10k cheap scoring
 passes instead of 10k engine runs.
+
+Homebase-relative frames
+------------------------
+The hypercube is vertex-transitive: XOR with ``rel`` is an automorphism
+that maps the sweep launched from homebase ``h`` onto the sweep launched
+from ``h ^ rel``, node for node and mask for mask.  A shard therefore
+replays the schedule once, at the compiled schedule's homebase, and
+scores a trial launched from ``home`` in relative coordinates,
+``rel = home ^ timeline.home``: an inert fugitive seeded at ``s`` is the
+timeline's fugitive seeded at ``s ^ rel`` (memoized per relative seed),
+and walkers live at ``pos ^ rel`` on the timeline's snapshots.  The one
+thing XOR does not preserve is order, so a walker's tie-breaking draw —
+``rng.choice`` over the *sorted* candidates — sorts them in the
+trial's own frame before it draws.
 
 Intruder policies
 -----------------
@@ -56,7 +70,10 @@ sub-seed per trial; each trial draws, in fixed order, its homebase, its
 infection seeds, its intruder seed and its delay seed from its own
 ``random.Random`` sub-stream.  Shard workers draw the same master
 sequence and skip the first ``start`` sub-seeds, so sharded and serial
-campaigns produce identical scenarios trial-for-trial.
+campaigns produce identical scenarios trial-for-trial.  A shard's
+timeline and seed memos live only as long as its :func:`run_batch` call,
+so a shard's payload, counters included, is a pure function of
+``(spec, start, count)``.
 
 Layering: like the rest of ``repro.fastpath`` this module imports only
 ``core``/``topology``/``errors`` and numpy (lint rule RPR220); the engine-twin
@@ -371,14 +388,22 @@ class ScenarioTimeline:
     the engine's contamination semantics — arrivals clean, departures
     recontaminate through unguarded clean neighbours — and records, per
     time unit: the post-unit guard mask, clean mask, arrival
-    (disturbance) mask and cumulative move count.  Every scenario of a
-    campaign that shares the homebase scores against this one object.
+    (disturbance) mask and cumulative move count.
+
+    :func:`run_batch` builds one per call, at the compiled schedule's
+    homebase, and scores every trial of the shard on it in
+    homebase-relative coordinates (module docstring): the timeline at
+    homebase ``h`` is this one relabelled by XOR with ``h ^ self.home``,
+    so any homebase's scenario is a relabelled scenario of this
+    timeline.  Building it at another homebase stays supported — that
+    translated replay is the reference the relative frames are tested
+    against.
 
     The ``inert`` policy's per-seed capture units are memoized here
     (:meth:`inert_capture_index`), as are the per-move snapshots and
-    guard-distance tables the walker policies replay against
-    (:meth:`walker_support`), so their cost is paid once per homebase
-    rather than once per trial.
+    guard-distance layers the walker policies replay against
+    (:meth:`walker_support`, :meth:`guard_layers`), so their cost is paid
+    once per shard rather than once per trial.
     """
 
     def __init__(
@@ -420,7 +445,7 @@ class ScenarioTimeline:
 
         self._inert_cache: Dict[int, int] = {}
         self._walker: Optional[Tuple[List[int], List[int], List[int], List[int]]] = None
-        self._dist_cache: Dict[int, List[int]] = {}
+        self._layer_cache: Dict[int, List[int]] = {}
         if stats is not None:
             stats.count("timelines_built")
 
@@ -516,8 +541,9 @@ class ScenarioTimeline:
         undisturbed part stays put, while any possibility on a node a
         searcher arrived at flees — arbitrarily far through post-unit
         unguarded nodes — to reachable contaminated hideouts.  Capture
-        is the unit the set empties.  Memoized per seed: campaigns
-        re-ask the same (homebase, seed) pairs constantly.
+        is the unit the set empties.  Memoized per seed: a shard asks
+        for every trial's seed in the timeline's frame (``s ^ rel``), so
+        the memo holds at most one entry per relative seed.
         """
         if seed == self.home:
             raise SimulationError(f"seed {seed} is the homebase; nothing to capture")
@@ -598,35 +624,29 @@ class ScenarioTimeline:
         self._walker = (move_times, guard_masks, clean_masks, dst_bits)
         return self._walker
 
-    def guard_distances(self, move_index: int) -> List[int]:
-        """Distance of every node from the post-move guard set (memoized).
+    def guard_layers(self, move_index: int) -> List[int]:
+        """Distance layers around the post-move guard set (memoized).
 
-        Shared across scenarios: the guard set after move ``j`` is
+        Entry ``k`` is the mask of the nodes ``k + 1`` hops from the
+        nearest guard after move ``move_index`` (engine order).  Shared
+        across scenarios: the guard set after move ``j`` is
         scenario-independent, only the walker's position differs.
         """
-        cached = self._dist_cache.get(move_index)
+        cached = self._layer_cache.get(move_index)
         if cached is not None:
             return cached
-        assert self._walker is not None
-        gmask = self._walker[1][move_index]
+        gmask = self.walker_support()[1][move_index]
         topo = self.topo
-        dist = [0] * topo.n
-        layer = gmask
-        reached = gmask
-        step = 0
+        layers: List[int] = []
+        layer = reached = gmask
         while reached != self.full:
-            step += 1
             layer = topo.spread_mask(layer) & ~reached
             if not layer:
                 break
-            m = layer
-            while m:
-                bit = m & -m
-                dist[bit.bit_length() - 1] = step
-                m ^= bit
+            layers.append(layer)
             reached |= layer
-        self._dist_cache[move_index] = dist
-        return dist
+        self._layer_cache[move_index] = layers
+        return layers
 
 
 def _mask_nodes(mask: int) -> List[int]:
@@ -640,7 +660,8 @@ def _mask_nodes(mask: int) -> List[int]:
 
 
 class _Walker:
-    """Batch replica of one :class:`~repro.sim.intruder.WalkerIntruder`."""
+    """Batch replica of one :class:`~repro.sim.intruder.WalkerIntruder`,
+    positioned in the timeline's frame."""
 
     __slots__ = ("pos", "captured", "rng", "capture_move")
 
@@ -650,33 +671,34 @@ class _Walker:
         self.rng = rng
         self.capture_move = -1
 
-    def observe(self, timeline: ScenarioTimeline, move_index: int) -> None:
-        """The exact ``WalkerIntruder.observe`` on mask snapshots."""
+    def observe(
+        self, timeline: ScenarioTimeline, move_index: int, gmask: int, clean: int, rel: int
+    ) -> None:
+        """The exact ``WalkerIntruder.observe`` on the post-move guard and
+        clean masks of ``move_index``, for a scenario ``rel`` away."""
         if self.captured:
             return
-        move_times, guard_masks, clean_masks, _ = timeline.walker_support()
-        gmask = guard_masks[move_index]
-        clean = clean_masks[move_index]
-        full = timeline.full
         here = 1 << self.pos
         if gmask & here:
             self.captured = True
             self.capture_move = move_index
             return
-        reached = _saturate(here, full & ~gmask, timeline.topo)
-        hideouts = reached & full & ~clean
+        reached = _saturate(here, timeline.full & ~gmask, timeline.topo)
+        hideouts = reached & ~clean
         if not hideouts:
             self.captured = True
             self.capture_move = move_index
             return
         if gmask:
-            dist = timeline.guard_distances(move_index)
-            nodes = _mask_nodes(hideouts)
-            best = max(dist[x] for x in nodes)
-            candidates = [x for x in nodes if dist[x] == best]
-        else:
-            candidates = _mask_nodes(hideouts)
-        self.pos = self.rng.choice(candidates)
+            # the farthest distance layer holding a hideout: the greedy
+            # walker's candidates
+            for layer in reversed(timeline.guard_layers(move_index)):
+                if layer & hideouts:
+                    hideouts &= layer
+                    break
+        # the engine draws from the candidates sorted in the scenario's
+        # own frame, an order XOR by ``rel`` does not preserve
+        self.pos = self.rng.choice(sorted(x ^ rel for x in _mask_nodes(hideouts))) ^ rel
 
 
 def _run_walkers(
@@ -684,22 +706,28 @@ def _run_walkers(
     starts: Sequence[int],
     rngs: Sequence[random.Random],
     stats: Optional[BatchStats],
+    rel: int = 0,
 ) -> Tuple[bool, int, int]:
     """Drive a walker pack over the timeline's move snapshots.
 
-    Returns ``(captured, capture_unit_index, capture_move_count)`` where
-    the unit index is that of the move completing the capture (-1 if the
-    pack survives the sweep).
+    ``starts`` are nodes of the scenario's frame, and ``rel`` maps that
+    frame onto the timeline's (``x -> x ^ rel``, with ``rel`` the
+    scenario's homebase XOR ``timeline.home``).  Returns ``(captured,
+    capture_unit_index, capture_move_count)`` where the unit index is
+    that of the move completing the capture (-1 if the pack survives the
+    sweep).
     """
-    move_times, _, _, _ = timeline.walker_support()
-    walkers = [_Walker(p, r) for p, r in zip(starts, rngs)]
+    move_times, guard_masks, clean_masks, _ = timeline.walker_support()
+    walkers = [_Walker(p ^ rel, r) for p, r in zip(starts, rngs)]
     alive = len(walkers)
     observations = 0
     for j in range(len(move_times)):
+        gmask = guard_masks[j]
+        clean = clean_masks[j]
         for w in walkers:
             if w.captured:
                 continue
-            w.observe(timeline, j)
+            w.observe(timeline, j, gmask, clean, rel)
             observations += 1
             if w.captured:
                 alive -= 1
@@ -929,14 +957,51 @@ class BatchResult:
 # --------------------------------------------------------------------- #
 
 
+#: sub-seeds skipped per ``getrandbits`` call while a shard seeks its
+#: window (bounds the throwaway integer at 512 KiB)
+_SKIP_DRAWS = 65_536
+
+
 def _trial_subseeds(spec: BatchScenarioSpec, start: int, count: int) -> List[int]:
     """Sub-seeds for trials ``[start, start+count)`` — the master stream
     is replayed from the top and the first ``start`` draws skipped, so a
-    shard sees exactly the trials the serial run would."""
+    shard sees exactly the trials the serial run would.
+
+    CPython's ``getrandbits(64 * m)`` consumes exactly the ``2m`` words
+    that ``m`` calls of ``getrandbits(64)`` would and packs them least
+    significant word first, so the skip and the window are a few big
+    draws instead of one call per trial; the window's little-endian
+    64-bit limbs are the per-trial sub-seeds.
+    """
     master = random.Random(spec.rng_seed)
-    for _ in range(start):
-        master.getrandbits(64)
-    return [master.getrandbits(64) for _ in range(count)]
+    skipped = 0
+    while skipped < start:
+        step = min(_SKIP_DRAWS, start - skipped)
+        master.getrandbits(64 * step)
+        skipped += step
+    if not count:
+        return []
+    window = master.getrandbits(64 * count).to_bytes(8 * count, "little")
+    return np.frombuffer(window, dtype="<u8").tolist()
+
+
+def _draw_others(rng: random.Random, n: int, home: int, k: int) -> List[int]:
+    """``k`` nodes of ``H_d`` other than ``home``, drawn exactly as
+    ``rng.sample(others, k)`` (``k <= n - 1``) or ``k`` calls of
+    ``rng.choice(others)`` (``k > n - 1``) would draw them from
+    ``others = [x for x in range(n) if x != home]``, in O(k).
+
+    Both draws pick by index, so indices drawn from ``range(n - 1)`` and
+    stepped over ``home`` (``j + (j >= home)``) are the same nodes.  Like
+    :class:`~repro.fastpath.npkernels.VectorMT19937`, this relies on
+    CPython's implementation of :mod:`random`.
+    """
+    indices = range(n - 1)
+    if k <= n - 1:
+        picks = rng.sample(indices, k)
+    else:
+        picks = [rng.choice(indices) for _ in range(k)]
+    return [j + (j >= home) for j in picks]
 
 
 def run_batch(
@@ -961,12 +1026,17 @@ def run_batch(
     :class:`BatchStats` counters into an observability registry;
     ``tracer`` (duck-typed — rule ``RPR220`` keeps ``repro.obs`` out of
     this layer) wraps the shard in a ``fastpath.run_batch`` span with
-    compile / verify / per-homebase-timeline child spans.
+    compile / verify / timeline child spans.
 
+    A non-empty shard builds one :class:`ScenarioTimeline`, at the
+    compiled schedule's homebase, and scores every trial on it in
+    homebase-relative coordinates, whatever the policy: its counters
+    read ``timelines_built == 1`` and ``timelines_reused == count - 1``,
+    and ``inert_seed_evals`` counts distinct relative seeds.
     ``reachable``-policy campaigns score all trials as column vectors
-    (one timeline, vectorized RNG streams), byte-identical in results
-    and counters to the scalar trial loop that scores the ``inert`` and
-    walker policies.  ``backend`` accepts only ``None`` or ``"numpy"``
+    (vectorized RNG streams), byte-identical in results and counters to
+    the scalar trial loop that scores the ``inert`` and walker
+    policies.  ``backend`` accepts only ``None`` or ``"numpy"
     (the name of the bit-plane kernel) and changes nothing; any other
     value raises :class:`~repro.errors.ScheduleError`.
     """
@@ -1031,10 +1101,16 @@ def _run_batch(
             "walker policies replay the engine's move order, which is only "
             "modelled for non-cloning schedules"
         )
-    if policy == "reachable" and count > 0:
-        _run_batch_reachable_np(spec, start, count, base, topo, stats, result, tracer)
-    else:
-        _run_batch_scalar(spec, start, count, base, topo, stats, result, tracer)
+    if count > 0:
+        if tracer is not None:
+            with tracer.span("fastpath.timeline", homebase=base.homebase):
+                timeline = ScenarioTimeline(base, base.homebase, topo, stats=stats)
+        else:
+            timeline = ScenarioTimeline(base, base.homebase, topo, stats=stats)
+        if count > 1:
+            stats.count("timelines_reused", count - 1)
+        score = _run_batch_reachable_np if policy == "reachable" else _run_batch_scalar
+        score(spec, start, count, timeline, stats, result)
     result.counters = stats.as_dict()
     return result
 
@@ -1043,19 +1119,17 @@ def _run_batch_scalar(
     spec: BatchScenarioSpec,
     start: int,
     count: int,
-    base: CompiledSchedule,
-    topo: Hypercube,
+    timeline: ScenarioTimeline,
     stats: BatchStats,
     result: BatchResult,
-    tracer: Optional[Any],
 ) -> None:
-    """Score a shard one trial at a time: every policy, one timeline per
-    homebase.  The ``inert`` and walker policies run here; for
-    ``reachable`` it is the reference the vectorized path is tested
-    against."""
-    n = topo.n
+    """Score a shard one trial at a time on the shard's one timeline.
+    The ``inert`` and walker policies run here; for ``reachable`` it is
+    the reference the vectorized path is tested against."""
+    n = timeline.topo.n
     policy = spec.intruder
-    timelines: Dict[int, ScenarioTimeline] = {}
+    moves_total = len(timeline.compiled)
+    units = len(timeline.unit_times)
     for sub in _trial_subseeds(spec, start, count):
         trial_rng = random.Random(sub)
         # fixed draw order: homebase, infection seeds, intruder seed,
@@ -1063,29 +1137,18 @@ def _run_batch_scalar(
         home = trial_rng.randrange(n) if spec.rotate_homebase else 0
         seeds: List[int] = []
         if policy == "inert":
-            candidates = [x for x in range(n) if x != home]
-            seeds = sorted(trial_rng.sample(candidates, min(spec.seeds_per_trial, n - 1)))
+            seeds = sorted(_draw_others(trial_rng, n, home, min(spec.seeds_per_trial, n - 1)))
         intruder_seed = trial_rng.getrandbits(64)
         delay_seed = trial_rng.getrandbits(64)
+        # the XOR taking this trial's frame onto the timeline's
+        rel = home ^ timeline.home
 
-        timeline = timelines.get(home)
-        if timeline is None:
-            if tracer is not None:
-                with tracer.span("fastpath.timeline", homebase=home):
-                    timeline = ScenarioTimeline(base, home, topo, stats=stats)
-            else:
-                timeline = ScenarioTimeline(base, home, topo, stats=stats)
-            timelines[home] = timeline
-        elif stats is not None:
-            stats.count("timelines_reused")
-
-        moves_total = len(base)
         if policy == "reachable":
             cap_index = timeline.reachable_capture_index()
             caught = cap_index >= 0
             moves_at = timeline.cum_moves[cap_index] if caught else moves_total
         elif policy == "inert":
-            indices = [timeline.inert_capture_index(s) for s in seeds]
+            indices = [timeline.inert_capture_index(s ^ rel) for s in seeds]
             caught = all(i >= 0 for i in indices)
             cap_index = max(indices) if caught else -1
             moves_at = timeline.cum_moves[cap_index] if caught else moves_total
@@ -1096,15 +1159,10 @@ def _run_batch_scalar(
                 # from the homebase — the hypercube antipode
                 rngs = [irng]
             else:
-                contaminated = [x for x in range(n) if x != home]
-                if spec.intruder_count <= len(contaminated):
-                    starts = irng.sample(contaminated, spec.intruder_count)
-                else:
-                    starts = [irng.choice(contaminated) for _ in range(spec.intruder_count)]
+                starts = _draw_others(irng, n, home, spec.intruder_count)
                 rngs = [random.Random(irng.getrandbits(64)) for _ in starts]
-            caught, cap_index, moves_at = _run_walkers(timeline, starts, rngs, stats)
+            caught, cap_index, moves_at = _run_walkers(timeline, starts, rngs, stats, rel)
 
-        units = len(timeline.unit_times)
         stretches = _stretches(spec, units, random.Random(delay_seed))
         walls, duration = _wall_times(stretches, units)
         result.homebases.append(home)
@@ -1121,32 +1179,26 @@ def _run_batch_reachable_np(
     spec: BatchScenarioSpec,
     start: int,
     count: int,
-    base: CompiledSchedule,
-    topo: Hypercube,
+    timeline: ScenarioTimeline,
     stats: BatchStats,
     result: BatchResult,
-    tracer: Optional[Any],
 ) -> None:
     """Score a ``reachable``-policy shard as column vectors.
 
     The omniscient intruder's capture unit is the index at which the
-    contaminated region empties — a property of the *translated* replay,
-    and the XOR automorphism maps any homebase's replay onto any
-    other's, so capture units, cumulative moves and unit counts are
-    homebase-invariant.  One :class:`ScenarioTimeline` therefore scores
-    every trial; what actually varies per trial is the drawn homebase
-    and the delay stretches, which :class:`~repro.fastpath.npkernels.
+    contaminated region empties, and relabelling the sweep by XOR
+    changes neither that index nor the cumulative moves or unit count.
+    So the shard's one timeline scores every trial without a per-trial
+    frame; what actually varies per trial is the drawn homebase and the
+    delay stretches, which :class:`~repro.fastpath.npkernels.
     VectorMT19937` draws for all trials at once, word-for-word on each
-    trial's ``random.Random`` sub-stream.  Counters report the
-    scalar-equivalent accounting (a timeline "build" per distinct
-    homebase, a "reuse" per repeat) so both paths publish identical
-    statistics.
+    trial's ``random.Random`` sub-stream.
     """
-    n = topo.n
+    n = timeline.topo.n
     vmt = VectorMT19937(_trial_subseeds(spec, start, count))
-    # fixed draw order per trial sub-stream (see _run_batch): homebase,
-    # intruder seed, delay seed — the intruder seed is drawn to keep the
-    # stream aligned even though the reachable policy never uses it
+    # fixed draw order per trial sub-stream (see _run_batch_scalar):
+    # homebase, intruder seed, delay seed — the intruder seed is drawn to
+    # keep the stream aligned even though the reachable policy never uses it
     if spec.rotate_homebase:
         homes = vmt.randbelow(n)
     else:
@@ -1154,19 +1206,9 @@ def _run_batch_reachable_np(
     vmt.getrandbits64()
     delay_seeds = vmt.getrandbits64()
 
-    if tracer is not None:
-        with tracer.span("fastpath.timeline", homebase=base.homebase):
-            timeline = ScenarioTimeline(base, base.homebase, topo, stats=None)
-    else:
-        timeline = ScenarioTimeline(base, base.homebase, topo, stats=None)
-    distinct = int(len(np.unique(homes)))
-    stats.count("timelines_built", distinct)
-    if count > distinct:
-        stats.count("timelines_reused", count - distinct)
-
     cap_index = timeline.reachable_capture_index()
     caught = cap_index >= 0
-    moves_at = timeline.cum_moves[cap_index] if caught else len(base)
+    moves_at = timeline.cum_moves[cap_index] if caught else len(timeline.compiled)
     cap_unit = timeline.unit_times[cap_index] if caught else -1
     units = len(timeline.unit_times)
 

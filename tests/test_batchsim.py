@@ -14,6 +14,7 @@ masks, and against a hand-built two-pocket schedule whose fugitives
 are provably captured at different times.
 """
 
+import functools
 import random
 
 import pytest
@@ -24,12 +25,17 @@ from repro.core.schedule import Move, Schedule
 from repro.core.strategy import get_strategy
 from repro.errors import ScheduleError, SimulationError
 from repro.fastpath.batchsim import (
+    INTRUDER_POLICIES,
     BatchResult,
     BatchScenarioSpec,
     BatchStats,
     ScenarioTimeline,
+    _draw_others,
     _percentile,
     _run_walkers,
+    _stretches,
+    _trial_subseeds,
+    _wall_times,
     replay_order,
     run_batch,
 )
@@ -462,3 +468,266 @@ class TestCampaigns:
         assert _percentile(values, 50) == 50
         assert _percentile(values, 99) == 99
         assert _percentile([7], 90) == 7
+
+
+# --------------------------------------------------------------------- #
+# one timeline per shard: homebase-relative frames
+# --------------------------------------------------------------------- #
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(name, d):
+    return CompiledSchedule.from_schedule(get_strategy(name).run(d))
+
+
+def _relabel(mask, xor):
+    """``mask`` as a node set relabelled by the automorphism ``x -> x ^ xor``."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= 1 << ((bit.bit_length() - 1) ^ xor)
+        mask ^= bit
+    return out
+
+
+def _trial_draws(spec):
+    """Each trial's ``(homebase, infection seeds, intruder seed, delay
+    seed)``, re-derived draw by draw from its sub-stream in the documented
+    order, with the node lists built out in full."""
+    n = 1 << spec.dimension
+    master = random.Random(spec.rng_seed)
+    for _ in range(spec.trials):
+        trial_rng = random.Random(master.getrandbits(64))
+        home = trial_rng.randrange(n) if spec.rotate_homebase else 0
+        seeds = []
+        if spec.intruder == "inert":
+            others = [x for x in range(n) if x != home]
+            seeds = sorted(trial_rng.sample(others, min(spec.seeds_per_trial, n - 1)))
+        yield home, seeds, trial_rng.getrandbits(64), trial_rng.getrandbits(64)
+
+
+def _per_homebase_reference(spec):
+    """The campaign scored one trial at a time on ``ScenarioTimeline(base,
+    home)``, one translated timeline per distinct homebase — the design
+    the shared homebase-relative timeline replaces."""
+    base = _compiled(spec.strategy, spec.dimension)
+    n = 1 << spec.dimension
+    timelines = {}
+    columns = {
+        key: []
+        for key in (
+            "homebases",
+            "captured",
+            "capture_units",
+            "capture_walls",
+            "duration_walls",
+            "moves_to_capture",
+        )
+    }
+    for home, seeds, intruder_seed, delay_seed in _trial_draws(spec):
+        if home not in timelines:
+            timelines[home] = ScenarioTimeline(base, home)
+        timeline = timelines[home]
+        if spec.intruder == "reachable":
+            cap_index = timeline.complete_index
+            moves_at = timeline.cum_moves[cap_index] if cap_index >= 0 else len(base)
+        elif spec.intruder == "inert":
+            indices = [timeline.inert_capture_index(s) for s in seeds]
+            cap_index = max(indices) if min(indices) >= 0 else -1
+            moves_at = timeline.cum_moves[cap_index] if cap_index >= 0 else len(base)
+        else:
+            irng = random.Random(intruder_seed)
+            if spec.intruder == "walker":
+                starts, rngs = [home ^ (n - 1)], [irng]
+            else:
+                others = [x for x in range(n) if x != home]
+                k = spec.intruder_count
+                if k <= len(others):
+                    starts = irng.sample(others, k)
+                else:
+                    starts = [irng.choice(others) for _ in range(k)]
+                rngs = [random.Random(irng.getrandbits(64)) for _ in starts]
+            caught, cap_index, moves_at = _run_walkers(timeline, starts, rngs, None)
+            cap_index = cap_index if caught else -1
+        units = len(timeline.unit_times)
+        walls, duration = _wall_times(_stretches(spec, units, random.Random(delay_seed)), units)
+        caught = cap_index >= 0
+        columns["homebases"].append(home)
+        columns["captured"].append(caught)
+        columns["capture_units"].append(timeline.unit_times[cap_index] if caught else -1)
+        columns["capture_walls"].append(walls[cap_index] if caught else -1)
+        columns["duration_walls"].append(duration)
+        columns["moves_to_capture"].append(moves_at)
+    return columns
+
+
+class TestHomebaseRelativeFrames:
+    @given(
+        name=st.sampled_from(STRATEGIES + ["cloning"]),
+        d=st.integers(min_value=1, max_value=6),
+        data=st.data(),
+    )
+    @FAST
+    def test_translation_law_for_masks_and_inert_fugitive(self, name, d, data):
+        n = 1 << d
+        h = data.draw(st.integers(min_value=0, max_value=n - 1), label="homebase")
+        seed = data.draw(
+            st.integers(min_value=0, max_value=n - 1).filter(lambda s: s != h), label="seed"
+        )
+        base = _compiled(name, d)
+        at_0 = ScenarioTimeline(base, 0)
+        at_h = ScenarioTimeline(base, h)
+        assert at_h.unit_times == at_0.unit_times
+        assert at_h.cum_moves == at_0.cum_moves
+        assert at_h.guard_after == [_relabel(m, h) for m in at_0.guard_after]
+        assert at_h.clean_after == [_relabel(m, h) for m in at_0.clean_after]
+        assert at_h.arrivals == [_relabel(m, h) for m in at_0.arrivals]
+        assert at_h.inert_capture_index(seed) == at_0.inert_capture_index(seed ^ h)
+
+    @given(
+        name=st.sampled_from(STRATEGIES),
+        d=st.integers(min_value=1, max_value=6),
+        policy=st.sampled_from(["walker", "walkers"]),
+        count=st.integers(min_value=1, max_value=4),
+        iseed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @FAST
+    def test_translation_law_for_walker_packs(self, name, d, policy, count, iseed, data):
+        n = 1 << d
+        h = data.draw(st.integers(min_value=0, max_value=n - 1), label="homebase")
+        base = _compiled(name, d)
+        shared = ScenarioTimeline(base, 0)
+        at_h = ScenarioTimeline(base, h)
+        if policy == "walker":
+            starts = [h ^ (n - 1)]
+        else:
+            others = [x for x in range(n) if x != h]
+            starts = random.Random(iseed).sample(others, min(count, n - 1))
+
+        def score(timeline, rel):
+            stats = BatchStats()
+            rngs = [random.Random(iseed + i) for i in range(len(starts))]
+            outcome = _run_walkers(timeline, starts, rngs, stats, rel)
+            return outcome, stats.walker_observations
+
+        assert score(shared, h) == score(at_h, 0)
+
+    @pytest.mark.parametrize("policy", ["walker", "walkers"])
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_rotated_walker_campaigns_match_the_engine(self, policy, d):
+        spec = BatchScenarioSpec(
+            dimension=d,
+            strategy="visibility",
+            trials=10,
+            intruder=policy,
+            intruder_count=3,
+            delay="random",
+            rotate_homebase=True,
+            rng_seed=97 + d,
+        )
+        result = run_batch(spec)
+        schedule = get_strategy(spec.strategy).run(d)
+        topo = Hypercube(d)
+        assert any(home != 0 for home in result.homebases)
+        for i, (home, _, intruder_seed, _) in enumerate(_trial_draws(spec)):
+            assert result.homebases[i] == home
+            rec = EngineRecorder(
+                schedule.translated(home),
+                topo,
+                intruder=policy,
+                seed=intruder_seed,
+                count=spec.intruder_count,
+            )
+            assert result.captured[i] == rec.result.intruder_captured, i
+            expected = rec.capture_time if rec.result.intruder_captured else -1
+            assert result.capture_units[i] == expected, i
+
+    @pytest.mark.parametrize(
+        "policy, strategy, d",
+        [
+            ("reachable", "visibility", 4),
+            ("reachable", "cloning", 4),
+            ("inert", "visibility", 5),
+            ("inert", "level-sweep", 4),
+            ("inert", "cloning", 4),
+            ("walker", "clean", 4),
+            ("walkers", "visibility", 5),
+            ("walkers", "synchronous", 3),
+        ],
+    )
+    def test_campaign_matches_the_per_homebase_reference(self, policy, strategy, d):
+        spec = BatchScenarioSpec(
+            dimension=d,
+            strategy=strategy,
+            trials=40,
+            intruder=policy,
+            seeds_per_trial=2,
+            intruder_count=3 if d > 3 else 9,
+            delay="random",
+            rotate_homebase=True,
+            rng_seed=5 * d + len(strategy),
+        )
+        result = run_batch(spec)
+        for column, values in _per_homebase_reference(spec).items():
+            assert getattr(result, column) == values, column
+
+    @pytest.mark.parametrize("policy", INTRUDER_POLICIES)
+    def test_one_timeline_per_shard(self, policy):
+        spec = BatchScenarioSpec(
+            dimension=5,
+            trials=40,
+            intruder=policy,
+            seeds_per_trial=2,
+            delay="random",
+            rotate_homebase=True,
+            rng_seed=3,
+        )
+        draws = list(_trial_draws(spec))
+        for start, count in ((0, 40), (7, 19), (39, 1)):
+            counters = run_batch(spec, start=start, count=count).counters
+            assert counters["timelines_built"] == 1
+            assert counters["timelines_reused"] == count - 1
+            window = draws[start : start + count]
+            lookups = sum(len(seeds) for _, seeds, _, _ in window)
+            assert lookups == (count * spec.seeds_per_trial if policy == "inert" else 0)
+            assert counters["inert_seed_evals"] + counters["inert_seed_cached"] == lookups
+            relative = {s ^ home for home, seeds, _, _ in window for s in seeds}
+            assert counters["inert_seed_evals"] == len(relative)
+        empty = run_batch(spec, start=40, count=0).counters
+        assert empty["timelines_built"] == empty["timelines_reused"] == 0
+
+
+# --------------------------------------------------------------------- #
+# trial draws without per-trial Python loops
+# --------------------------------------------------------------------- #
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize("rng_seed", [0, 7, 2005, 2**70 + 3])
+    def test_subseed_skip_matches_the_draw_by_draw_stream(self, rng_seed):
+        master = random.Random(rng_seed)
+        stream = [master.getrandbits(64) for _ in range(100_003)]
+        for start in (0, 1, 5, 90_000):
+            for count in (0, 1, 3, 10_000):
+                spec = BatchScenarioSpec(dimension=3, trials=start + count, rng_seed=rng_seed)
+                subseeds = _trial_subseeds(spec, start, count)
+                assert subseeds == stream[start : start + count], (start, count)
+                assert all(type(s) is int for s in subseeds)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_draw_others_matches_the_list_based_draw(self, d):
+        # sample() has a pool branch (small n) and a set branch, and k
+        # above n - 1 takes repeated choice(): all three are exercised
+        n = 1 << d
+        for home in sorted({0, 1, n // 2, n - 1}):
+            others = [x for x in range(n) if x != home]
+            for k in sorted({1, 2, 3, 6, n - 1, n, n + 3}):
+                for seed in range(4):
+                    reference, rng = random.Random(seed), random.Random(seed)
+                    if k <= n - 1:
+                        expected = reference.sample(others, k)
+                    else:
+                        expected = [reference.choice(others) for _ in range(k)]
+                    assert _draw_others(rng, n, home, k) == expected, (home, k, seed)
+                    assert rng.getstate() == reference.getstate()
