@@ -2,23 +2,25 @@
 
 "O(log n) bits suffice for all our algorithms" — for both the whiteboards
 and the agents' local memory.  The bench runs the real protocols with
-bit-accounted whiteboards across growing dimensions and checks the peak
-usage grows additively (counter widths), not multiplicatively, with n.
+bit-accounted whiteboards across growing dimensions (n = 8..512 for
+visibility, 8..256 for CLEAN) and checks the peak usage grows additively
+(counter widths), not multiplicatively, with n.
 """
 
 from repro.protocols.clean_protocol import run_clean_protocol
 from repro.protocols.visibility_protocol import run_visibility_protocol
 
-DIMS = (3, 4, 5, 6)
+VISIBILITY_DIMS = tuple(range(3, 10))
+CLEAN_DIMS = tuple(range(3, 9))  # clean is heavier to simulate
 
 
 def measure_peaks():
     out = {}
-    for d in DIMS:
+    for d in VISIBILITY_DIMS:
         vis = run_visibility_protocol(d)
         assert vis.ok
         out[("visibility", d)] = vis.peak_whiteboard_bits
-    for d in DIMS[:-1]:  # clean is heavier to simulate
+    for d in CLEAN_DIMS:
         cln = run_clean_protocol(d)
         assert cln.ok
         out[("clean", d)] = cln.peak_whiteboard_bits
@@ -34,7 +36,7 @@ def test_memory_bits_logarithmic(benchmark, report):
 
     # doubling n (d -> d+1) adds only O(1) bits — counter widths, never
     # anything proportional to n
-    for proto, dims in (("visibility", DIMS), ("clean", DIMS[:-1])):
+    for proto, dims in (("visibility", VISIBILITY_DIMS), ("clean", CLEAN_DIMS)):
         series = [peaks[(proto, d)] for d in dims]
         for a, b in zip(series, series[1:]):
             assert b - a <= 8, (proto, series)

@@ -1205,6 +1205,9 @@ def _run_batch_reachable_np(
         homes = np.zeros(count, dtype=np.int64)
     vmt.getrandbits64()
     delay_seeds = vmt.getrandbits64()
+    # the seeding state is dead from here: free it before the delay
+    # generator allocates its own
+    del vmt
 
     cap_index = timeline.reachable_capture_index()
     caught = cap_index >= 0

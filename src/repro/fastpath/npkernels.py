@@ -256,9 +256,12 @@ class VectorMT19937:
         self.rows = rows
         # word-major (624, rows) layout: the seeding recurrence and the
         # twist walk word index sequentially, so each step touches one
-        # contiguous row instead of a strided column
-        self._state = np.empty((_MT_N, rows), dtype=np.uint32)
-        self._buf = np.empty((_MT_N, rows), dtype=np.uint32)
+        # contiguous row instead of a strided column.  The tempered
+        # buffer grows on demand (`_grow_buf`): a short campaign reads
+        # ~20 words per row, and a full (624, rows) buffer would be
+        # 25 MB at 10k rows
+        self._state: Any = None
+        self._buf = np.empty((0, rows), dtype=np.uint32)
         self._cursor = np.full(rows, _MT_N, dtype=np.int64)
         self._rowidx = np.arange(rows)
         # lockstep bookkeeping: while every row is in the same block
@@ -288,6 +291,7 @@ class VectorMT19937:
             elif not len(wide):
                 self._state = self._init_by_array(lo[None, :])
             else:
+                self._state = np.empty((_MT_N, rows), dtype=np.uint32)
                 self._state[:, short] = self._init_by_array(lo[short][None, :])
                 self._state[:, wide] = self._init_by_array(
                     np.stack([lo[wide], hi[wide]])
@@ -295,6 +299,7 @@ class VectorMT19937:
             return
         # generic path: group scenarios by key length so init_by_array
         # vectorizes per group (arbitrary-precision / negative seeds)
+        self._state = np.empty((_MT_N, rows), dtype=np.uint32)
         by_len: Dict[int, List[int]] = {}
         keys: List[List[int]] = []
         for row, seed in enumerate(seeds):
@@ -436,8 +441,19 @@ class VectorMT19937:
         t ^= (t << np.uint32(7)) & np.uint32(0x9D2C5680)
         t ^= (t << np.uint32(15)) & np.uint32(0xEFC60000)
         t ^= t >> np.uint32(18)
+        self._grow_buf(b)
         self._buf[a:b] = t
         self._filled = b
+
+    def _grow_buf(self, words: int) -> None:
+        """Make the tempered buffer hold at least ``words`` words per row
+        (doubling, capped at one block; filled words are kept)."""
+        have = self._buf.shape[0]
+        if words <= have:
+            return
+        grown = np.empty((min(max(words, 2 * have), _MT_N), self.rows), dtype=np.uint32)
+        grown[:have] = self._buf
+        self._buf = grown
 
     def _twist_rows(self, rows: Any) -> None:
         """Regenerate + temper the block for the given scenario columns.
@@ -473,6 +489,7 @@ class VectorMT19937:
         t ^= (t << np.uint32(15)) & np.uint32(0xEFC60000)
         t ^= t >> np.uint32(18)
         self._state[:, rows] = s
+        self._grow_buf(_MT_N)
         self._buf[:, rows] = t
         self._cursor[rows] = 0
 
@@ -515,7 +532,9 @@ class VectorMT19937:
             stale = cur >= _MT_N
             if bool(stale.any()):
                 self._twist_rows(np.nonzero(stale)[0])
-        gather = np.minimum(cur, _MT_N - 1)
+        # rows left out of a partial draw may sit past the filled words;
+        # clamp them into the buffer (their words are discarded)
+        gather = np.minimum(cur, self._buf.shape[0] - 1)
         words = self._buf[gather, self._rowidx]
         if active is None:
             cur += 1

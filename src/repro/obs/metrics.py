@@ -250,6 +250,10 @@ class SimMetricsCollector:
         self._moves_seen = 0
         #: per-agent status: "active" | "blocked" | "terminated" | "crashed"
         self.agent_states: Dict[int, str] = {}
+        #: number of agents per status, kept in step with ``agent_states``
+        self._status_counts: Dict[str, int] = {
+            "active": 0, "blocked": 0, "terminated": 0, "crashed": 0,
+        }
         #: per-agent move totals
         self.agent_moves: Dict[int, int] = {}
         self._phase: str = ""
@@ -271,7 +275,9 @@ class SimMetricsCollector:
         elif kind == "write":
             reg.counter("whiteboard_writes_total").inc()
         elif kind == "spawn":
-            self.agent_states.setdefault(event.agent, "active")
+            if event.agent not in self.agent_states:
+                self.agent_states[event.agent] = "active"
+                self._status_counts["active"] += 1
             reg.gauge("agents_total").set(len(self.agent_states))
         elif kind == "clone":
             reg.counter("clones_total").inc()
@@ -309,7 +315,7 @@ class SimMetricsCollector:
         guarded = event.guard_mask.bit_count()
         frontier = event.frontier_mask.bit_count()
         contaminated = max(self._n - clean - guarded, 0)
-        blocked = sum(1 for s in self.agent_states.values() if s == "blocked")
+        blocked = self._status_counts["blocked"]
         t = event.time
         reg.gauge("clean_nodes").set(clean)
         reg.gauge("guarded_nodes").set(guarded)
@@ -326,15 +332,16 @@ class SimMetricsCollector:
     def _set_state(self, agent: int, state: str) -> None:
         if agent < 0:
             return
+        counts = self._status_counts
+        previous = self.agent_states.get(agent)
+        if previous is not None:
+            counts[previous] -= 1
+        counts[state] += 1
         self.agent_states[agent] = state
         reg = self.registry
         reg.gauge("agents_total").set(len(self.agent_states))
-        reg.gauge("agents_blocked").set(
-            sum(1 for s in self.agent_states.values() if s == "blocked")
-        )
-        reg.gauge("agents_terminated").set(
-            sum(1 for s in self.agent_states.values() if s in ("terminated", "crashed"))
-        )
+        reg.gauge("agents_blocked").set(counts["blocked"])
+        reg.gauge("agents_terminated").set(counts["terminated"] + counts["crashed"])
 
     # -- export ----------------------------------------------------------- #
 

@@ -91,9 +91,13 @@ class WaitUntil(Action):
     """Block until ``predicate(view)`` is true.
 
     The predicate receives a :class:`NodeView` of the agent's node; it must
-    be side-effect free (it is re-evaluated opportunistically).  For purely
-    time-based waits (the synchronous model) set ``wake_at`` so the engine
-    schedules a timer even when no other event would advance the clock.
+    be side-effect free, and it must depend only on what it reads through
+    the view (the whiteboard, the neighbour states, the time).  The engine
+    files a blocked agent under what its predicate read and re-evaluates
+    it only after an event changes one of those reads, so a predicate that
+    consults anything else may never be re-run.  For purely time-based
+    waits (the synchronous model) set ``wake_at`` so the engine schedules
+    a timer even when no other event would advance the clock.
     """
 
     predicate: Callable[["NodeView"], bool]

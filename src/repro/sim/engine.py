@@ -21,6 +21,23 @@ An action that needs a capability the engine was not given raises
 :class:`~repro.errors.AgentError` — protocols cannot quietly use more
 power than their model grants.
 
+Waking blocked agents
+---------------------
+A blocked agent waits on a :class:`~repro.sim.agent.WaitUntil` predicate
+over its :class:`~repro.sim.agent.NodeView`.  Every evaluation records
+what the predicate read through the view — its node's whiteboard, its
+neighbours' states, the clock — and the agent is filed under those
+reads.  After an event the engine re-evaluates only the agents whose
+reads the event touched: a board written or updated on their node, a
+neighbour whose state flipped (recontamination floods included), a clock
+advance.  A predicate that read nothing is never re-run.  So a predicate
+must depend only on what it reads through the view.
+
+The wake records are those of a full scan: after every event that
+reaches the wake pass, each blocked agent whose predicate holds is
+logged as ``wake``, published, and rescheduled (a token bump), in agent
+id order — again after each later event, until its wake-up runs.
+
 Instrumentation
 ---------------
 The engine carries an :class:`~repro.obs.bus.EventBus`: subscribers
@@ -39,8 +56,9 @@ topology, capability model, delay model, git revision).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
+from repro._bitops import iter_set_bits
 from repro.errors import AgentError, SimulationError
 from repro.obs.bus import EventBus, Subscriber
 from repro.obs.events import (
@@ -82,6 +100,9 @@ from repro.sim.whiteboard import Whiteboard
 __all__ = ["Engine", "SimResult"]
 
 BehaviorFactory = Callable[[AgentContext], Any]
+
+#: what one predicate evaluation read through its view (bit flags)
+_BOARD, _SIGHT, _CLOCK = 1, 2, 4
 
 
 @dataclass
@@ -137,10 +158,12 @@ class _AgentRecord:
     ``token`` is the scheduling generation: every event pushed for this
     agent carries the token current at push time, and the engine drops
     events whose token has been superseded (stale wake-ups must not fire
-    once the agent has moved on — literally).
+    once the agent has moved on — literally).  ``reads`` holds the read
+    flags of the agent's last predicate evaluation, under which a blocked
+    agent is filed in the wake index.
     """
 
-    __slots__ = ("ctx", "generator", "status", "pending", "wait", "token")
+    __slots__ = ("ctx", "generator", "status", "pending", "wait", "token", "reads")
 
     def __init__(self, ctx: AgentContext, generator) -> None:
         self.ctx = ctx
@@ -149,6 +172,30 @@ class _AgentRecord:
         self.pending: Optional[Callable[[float], Any]] = None
         self.wait: Optional[WaitUntil] = None
         self.token = 0
+        self.reads = 0
+
+
+class _ReadProbe:
+    """The read-recording backend of one predicate evaluation's view."""
+
+    __slots__ = ("engine", "node", "flags")
+
+    def __init__(self, engine: "Engine", node: int) -> None:
+        self.engine = engine
+        self.node = node
+        self.flags = 0
+
+    def wb(self, key: Optional[str]) -> Any:
+        self.flags |= _BOARD
+        return self.engine.board(self.node).read(key)
+
+    def see(self) -> Dict[int, Any]:
+        self.flags |= _SIGHT
+        return self.engine._neighbor_states(self.node)
+
+    def clock(self) -> float:
+        self.flags |= _CLOCK
+        return self.engine._time
 
 
 class Engine:
@@ -241,6 +288,14 @@ class Engine:
         self._contiguous_ok = True
         self._was_contiguous = True  # previous per-move verdict (bus edge detect)
 
+        # the wake index: blocked agents filed under what their predicate
+        # last read (see _wake_blocked)
+        self._board_waiters: Dict[int, Set[int]] = {}  # node -> agents
+        self._sight_waiters: Dict[int, Set[int]] = {}  # node -> agents
+        self._clock_waiters: Set[int] = set()
+        self._dirty: Set[int] = set()  # reads touched since last evaluated
+        self._holding: Set[int] = set()  # predicate held at last evaluation
+
         # the bus's subscriber list is aliased so every emission site pays
         # exactly one truthiness test when nobody is listening
         self._bus = EventBus()
@@ -289,7 +344,9 @@ class Engine:
         agent_id = self._next_agent_id
         self._next_agent_id += 1
         ctx = AgentContext(agent_id, node, dimension)
+        guard_before, clean_before = self._cmap.guard_mask, self._cmap.clean_mask
         self._cmap.place_agent(node)
+        self._touch_states(guard_before, clean_before)
         generator = factory(ctx)
         record = _AgentRecord(ctx, generator)
         self._agents[agent_id] = record
@@ -317,7 +374,14 @@ class Engine:
         self._queue.push(time, record.ctx.agent_id, record.token)
 
     def board(self, node: int) -> Whiteboard:
-        """The whiteboard of ``node`` (created on first access)."""
+        """The whiteboard of ``node`` (created on first access).
+
+        Writes through the returned board bypass the wake index: an agent
+        waiting on this board is re-evaluated only after a
+        :class:`~repro.sim.agent.WriteWhiteboard` or
+        :class:`~repro.sim.agent.UpdateWhiteboard` action on its node, so
+        write during a run only through agent actions.
+        """
         wb = self._boards.get(node)
         if wb is None:
             degree = len(self._topo.neighbors(node))
@@ -325,11 +389,72 @@ class Engine:
             self._boards[node] = wb
         return wb
 
-    def _view(self, record: _AgentRecord) -> NodeView:
-        node = record.ctx.node
-        see = (lambda: {y: self._cmap.state(y) for y in self._topo.neighbors(node)}) if self._visibility else None
-        clock = (lambda: self._time) if self._global_clock else None
-        return NodeView(node=node, _wb_read=self.board(node).read, _see=see, _clock=clock)
+    def _neighbor_states(self, node: int) -> Dict[int, Any]:
+        return {y: self._cmap.state(y) for y in self._topo.neighbors(node)}
+
+    def _evaluate(self, record: _AgentRecord, predicate: Callable[[NodeView], Any]) -> bool:
+        """Evaluate a wait predicate of ``record``; its read flags land in
+        ``record.reads``."""
+        probe = _ReadProbe(self, record.ctx.node)
+        view = NodeView(
+            node=probe.node,
+            _wb_read=probe.wb,
+            _see=probe.see if self._visibility else None,
+            _clock=probe.clock if self._global_clock else None,
+        )
+        holds = bool(predicate(view))
+        record.reads = probe.flags
+        return holds
+
+    # ------------------------------------------------------------------ #
+    # the wake index
+    # ------------------------------------------------------------------ #
+
+    def _file(self, record: _AgentRecord, holds: bool) -> None:
+        """File a blocked agent under its last evaluation's reads."""
+        agent_id = record.ctx.agent_id
+        reads = record.reads
+        if reads & _BOARD:
+            self._board_waiters.setdefault(record.ctx.node, set()).add(agent_id)
+        if reads & _SIGHT:
+            self._sight_waiters.setdefault(record.ctx.node, set()).add(agent_id)
+        if reads & _CLOCK:
+            self._clock_waiters.add(agent_id)
+        if holds:
+            self._holding.add(agent_id)
+
+    def _unfile(self, record: _AgentRecord) -> None:
+        """Remove an agent from the wake index."""
+        agent_id = record.ctx.agent_id
+        reads = record.reads
+        for flag, waiters in ((_BOARD, self._board_waiters), (_SIGHT, self._sight_waiters)):
+            if reads & flag:
+                filed = waiters[record.ctx.node]
+                filed.discard(agent_id)
+                if not filed:
+                    del waiters[record.ctx.node]
+        if reads & _CLOCK:
+            self._clock_waiters.discard(agent_id)
+        self._holding.discard(agent_id)
+        self._dirty.discard(agent_id)
+
+    def _touch_board(self, node: int) -> None:
+        waiters = self._board_waiters.get(node)
+        if waiters:
+            self._dirty |= waiters
+
+    def _touch_states(self, guard_before: int, clean_before: int) -> None:
+        """Dirty the sight waiters next to every node whose state may have
+        flipped since the masks were ``guard_before``/``clean_before``."""
+        if not self._sight_waiters:
+            return
+        cmap = self._cmap
+        flipped = (guard_before ^ cmap.guard_mask) | (clean_before ^ cmap.clean_mask)
+        for y in iter_set_bits(flipped):
+            for x in self._topo.neighbors(y):
+                waiters = self._sight_waiters.get(x)
+                if waiters:
+                    self._dirty |= waiters
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -381,7 +506,10 @@ class Engine:
                 )
             event = self._queue.pop()
             self._events_processed += 1
-            self._time = max(self._time, event.time)
+            if event.time > self._time:
+                self._time = event.time
+                if self._clock_waiters:
+                    self._dirty |= self._clock_waiters
             record = self._agents[event.agent_id]
             if event.token != record.token:
                 continue  # superseded by a newer scheduling decision
@@ -389,7 +517,9 @@ class Engine:
                 continue
             if record.status == "blocked":
                 # a wake-up: re-check the predicate under mutual exclusion
-                if record.wait is not None and not record.wait.predicate(self._view(record)):
+                self._unfile(record)
+                if record.wait is not None and not self._evaluate(record, record.wait.predicate):
+                    self._file(record, False)
                     continue
                 record.wait = None
                 record.status = "ready"
@@ -475,11 +605,12 @@ class Engine:
                 return
 
             if isinstance(action, WaitUntil):
-                if action.predicate(self._view(record)):
+                if self._evaluate(record, action.predicate):
                     value = True
                     continue
                 record.wait = action
                 record.status = "blocked"
+                self._file(record, False)
                 if action.wake_at is not None and action.wake_at > self._time:
                     self._schedule(record, action.wake_at)
                 self._trace.log(
@@ -513,7 +644,9 @@ class Engine:
         def complete(now: float) -> None:
             observed = bool(self._subscribers)
             recon_before = len(self._cmap.recontamination_events) if observed else 0
+            guard_before, clean_before = self._cmap.guard_mask, self._cmap.clean_mask
             self._cmap.move_agent(src, dst)
+            self._touch_states(guard_before, clean_before)
             record.ctx.node = dst
             self._trace.log(
                 TraceEvent(now, "move", record.ctx.agent_id, dst, {"src": src})
@@ -587,6 +720,7 @@ class Engine:
         if isinstance(action, WriteWhiteboard):
             def write(now: float) -> None:
                 self.board(record.ctx.node).write(action.key, action.value)
+                self._touch_board(record.ctx.node)
                 if self._subscribers:
                     self._bus.publish(
                         WhiteboardEvent(now, agent_id, record.ctx.node, key=action.key)
@@ -598,6 +732,7 @@ class Engine:
         if isinstance(action, UpdateWhiteboard):
             def update(now: float) -> Any:
                 result = self.board(record.ctx.node).update(action.mutator)
+                self._touch_board(record.ctx.node)
                 if self._subscribers:
                     self._bus.publish(
                         WhiteboardEvent(now, agent_id, record.ctx.node, key=None)
@@ -609,9 +744,7 @@ class Engine:
         if isinstance(action, See):
             if not self._visibility:
                 raise AgentError(f"agent {agent_id} used See() without the visibility model")
-            return lambda now: {
-                y: self._cmap.state(y) for y in self._topo.neighbors(record.ctx.node)
-            }
+            return lambda now: self._neighbor_states(record.ctx.node)
 
         if isinstance(action, CloneSelf):
             if not self._cloning:
@@ -636,25 +769,37 @@ class Engine:
         raise AgentError(f"agent {agent_id} yielded unknown action {action!r}")
 
     def _wake_blocked(self) -> None:
-        """Re-check every blocked agent's predicate; schedule true ones.
+        """Log, publish and reschedule every blocked agent whose predicate
+        holds, in agent id order.
 
-        Predicates are pure, so evaluating them here and again at wake-up
-        (under mutual exclusion) is safe; double-waking is prevented by the
+        Only the agents whose reads were touched since their last
+        evaluation are re-evaluated; every other blocked agent's last
+        verdict still stands, because a predicate depends only on what it
+        reads through its view.  The records are those of a full scan of
+        the blocked agents: a holding agent is logged again after each
+        event until its wake-up runs.  Double-waking is prevented by the
         status transition in :meth:`run`.
         """
-        for record in self._agents.values():
-            if record.status == "blocked" and record.wait is not None:
-                if record.wait.predicate(self._view(record)):
-                    self._trace.log(
-                        TraceEvent(
-                            self._time, "wake", record.ctx.agent_id, record.ctx.node
-                        )
-                    )
-                    if self._subscribers:
-                        self._bus.publish(
-                            WakeEvent(self._time, record.ctx.agent_id, record.ctx.node)
-                        )
-                    self._schedule(record, self._time)
+        dirty = self._dirty
+        if dirty:
+            self._dirty = set()
+            due = sorted(dirty | self._holding)
+        elif self._holding:
+            due = sorted(self._holding)
+        else:
+            return
+        for agent_id in due:
+            record = self._agents[agent_id]
+            if agent_id in dirty:
+                self._unfile(record)
+                holds = self._evaluate(record, record.wait.predicate)
+                self._file(record, holds)
+                if not holds:
+                    continue
+            self._trace.log(TraceEvent(self._time, "wake", agent_id, record.ctx.node))
+            if self._subscribers:
+                self._bus.publish(WakeEvent(self._time, agent_id, record.ctx.node))
+            self._schedule(record, self._time)
 
     # ------------------------------------------------------------------ #
 

@@ -4,18 +4,22 @@ A tiny priority queue of ``(time, sequence, agent_id)`` entries.  The
 sequence number makes ordering deterministic for simultaneous events (FIFO
 among equals), which keeps whole simulations reproducible for a fixed delay
 model and seed — a property the protocol equivalence tests rely on.
+
+The heap holds ``(time, sequence, event)`` tuples: tuple comparison runs
+in C, and the sequence number is unique, so a tie never reaches the
+:class:`Event` itself.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(order=True, frozen=True)
+@dataclass(frozen=True)
 class Event:
     """One scheduled agent resumption.
 
@@ -27,15 +31,15 @@ class Event:
 
     time: float
     sequence: int
-    agent_id: int = field(compare=False)
-    token: int = field(compare=False, default=0)
+    agent_id: int
+    token: int = 0
 
 
 class EventQueue:
     """Deterministic min-heap of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._sequence = 0
 
     @property
@@ -58,18 +62,19 @@ class EventQueue:
         """
         if time < 0:
             raise ValueError(f"event time must be >= 0, got {time}")
-        event = Event(time=time, sequence=self._sequence, agent_id=agent_id, token=token)
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
+        sequence = self._sequence
+        event = Event(time=time, sequence=sequence, agent_id=agent_id, token=token)
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def peek(self) -> Optional[Event]:
         """The earliest event without removing it, or ``None``."""
-        return self._heap[0] if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

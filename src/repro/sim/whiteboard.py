@@ -24,6 +24,9 @@ from repro.errors import WhiteboardError
 
 __all__ = ["Whiteboard", "estimate_bits"]
 
+#: value types a read may return without copying: nothing can mutate them
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
 
 def estimate_bits(value: Any) -> int:
     """Rough storage size of a whiteboard value in bits.
@@ -82,18 +85,23 @@ class Whiteboard:
         return {"id": self.node, "ports": list(range(1, self.degree + 1))}
 
     def read(self, key: Optional[str] = None) -> Any:
-        """Read one key (or everything when ``key`` is None), as a deep copy.
+        """Read one key (or everything when ``key`` is None).
 
-        Returning the stored object itself would hand the caller a live
-        alias into the board: mutating a returned list/dict would change
-        node state outside :meth:`write`/:meth:`update`, silently
-        bypassing the bit accounting and the ``capacity_bits`` ceiling.
-        Mutation must go through :meth:`update`.
+        An immutable scalar (``None``, bool, int, float, str) is returned
+        as stored; anything else is a deep copy.  Returning a stored
+        container itself would hand the caller a live alias into the
+        board: mutating a returned list/dict would change node state
+        outside :meth:`write`/:meth:`update`, silently bypassing the bit
+        accounting and the ``capacity_bits`` ceiling.  Mutation must go
+        through :meth:`update`.
         """
         self.access_count += 1
         if key is None:
             return copy.deepcopy(self._data)
-        return copy.deepcopy(self._data.get(key))
+        value = self._data.get(key)
+        if type(value) in _SCALARS:
+            return value
+        return copy.deepcopy(value)
 
     def write(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` (atomic; engine serializes access)."""

@@ -731,3 +731,31 @@ class TestTrialDraws:
                         expected = [reference.choice(others) for _ in range(k)]
                     assert _draw_others(rng, n, home, k) == expected, (home, k, seed)
                     assert rng.getstate() == reference.getstate()
+
+
+class TestShardMemory:
+    def test_reachable_shard_allocates_under_a_ceiling(self):
+        """A 10k-trial reachable shard at d=10 holds two RNG states of
+        (624, 10k) words (25 MB each) at most briefly: the seeding state
+        is freed before the delay state exists, and the tempered output
+        buffers grow only as deep as the draws go."""
+        import tracemalloc
+
+        spec = BatchScenarioSpec(
+            dimension=10,
+            strategy="visibility",
+            trials=10_000,
+            intruder="reachable",
+            delay="random",
+            rotate_homebase=True,
+            rng_seed=2005,
+        )
+        run_batch(spec, start=0, count=10)  # compile and cache the schedule first
+        tracemalloc.start()
+        try:
+            result = run_batch(spec, start=0, count=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.count == 10_000
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"

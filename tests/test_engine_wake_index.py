@@ -1,0 +1,493 @@
+"""The engine's indexed wake pass against the full scan it replaces.
+
+After every event the engine re-evaluates only the blocked agents whose
+predicate reads (their node's whiteboard, their neighbours' states, the
+clock) the event touched, yet it must log, publish and reschedule exactly
+what a full scan of every blocked agent would.  Three kinds of evidence:
+
+* golden digests of whole protocol runs — trace, bus stream, counters and
+  collector snapshot — pinned as constants the full-scan engine produced;
+* :class:`PollingEngine`, a test-local engine whose wake pass is that full
+  scan, run side by side with the engine on hypothesis-drawn protocols;
+* exact evaluation counts, which only an index can meet.
+"""
+
+from __future__ import annotations
+
+import copy
+import functools
+import hashlib
+import json
+from typing import Any, Dict, List
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.states import NodeState
+from repro.errors import ReproError
+from repro.obs import SimMetricsCollector, standard_probes
+from repro.obs.events import WakeEvent
+from repro.protocols import frontier_protocol
+from repro.protocols.cloning_protocol import run_cloning_protocol
+from repro.protocols.clean_protocol import run_clean_protocol
+from repro.protocols.sync_protocol import run_synchronous_protocol
+from repro.protocols.visibility_protocol import run_visibility_protocol
+from repro.sim.agent import (
+    CloneSelf,
+    Move,
+    NodeView,
+    ReadWhiteboard,
+    See,
+    Terminate,
+    UpdateWhiteboard,
+    WaitUntil,
+    WriteWhiteboard,
+)
+from repro.sim.engine import Engine
+from repro.sim.scheduling import AdversarialSlowestDelay, RandomDelay, UnitDelay
+from repro.sim.trace import TraceEvent
+from repro.sim.whiteboard import Whiteboard
+from repro.topology.hypercube import Hypercube
+
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class PollingEngine(Engine):
+    """The reference wake pass: re-run every blocked agent's predicate
+    after every event, each through a fresh view."""
+
+    def _polling_view(self, record) -> NodeView:
+        node = record.ctx.node
+        see = (
+            (lambda: {y: self._cmap.state(y) for y in self._topo.neighbors(node)})
+            if self._visibility
+            else None
+        )
+        clock = (lambda: self._time) if self._global_clock else None
+        return NodeView(node=node, _wb_read=self.board(node).read, _see=see, _clock=clock)
+
+    def _wake_blocked(self) -> None:
+        for record in self._agents.values():
+            if record.status == "blocked" and record.wait is not None:
+                if record.wait.predicate(self._polling_view(record)):
+                    self._trace.log(
+                        TraceEvent(self._time, "wake", record.ctx.agent_id, record.ctx.node)
+                    )
+                    if self._subscribers:
+                        self._bus.publish(
+                            WakeEvent(self._time, record.ctx.agent_id, record.ctx.node)
+                        )
+                    self._schedule(record, self._time)
+
+
+# --------------------------------------------------------------------- #
+# golden digests
+# --------------------------------------------------------------------- #
+
+_RUNNERS = {
+    "clean": (run_clean_protocol, 6),
+    "visibility": (run_visibility_protocol, 7),
+    "cloning": (run_cloning_protocol, 7),
+    "synchronous": (run_synchronous_protocol, 6),
+}
+
+#: delay regimes of the matrix, built fresh per run (RandomDelay is stateful)
+_DELAYS = {
+    "unit": UnitDelay,
+    **{f"random{seed}": functools.partial(RandomDelay, seed=seed) for seed in range(4)},
+    "straggler0": functools.partial(AdversarialSlowestDelay, [0], factor=50.0),
+    "straggler123": functools.partial(AdversarialSlowestDelay, [1, 2, 3], factor=7.0),
+}
+
+_INTRUDERS = ("reachable", "walker")
+
+
+def run_digest(protocol: str, dimension: int, delay: str, intruder: str) -> str:
+    """sha256 over everything a run lets a caller observe: every trace
+    event, the bus stream, ``event_count``, the verdict line, peak bits,
+    agent counts and final states, the metrics collector's snapshot and
+    the lenient probes' violations (the manifest's git revision aside)."""
+    collector = SimMetricsCollector()
+    probes = standard_probes("lenient")
+    stream: List[Any] = []
+    subscribers = [collector, *probes, stream.append]
+    if protocol == "frontier":
+        tapped = functools.partial(Engine, subscribers=subscribers)
+        with mock.patch.object(frontier_protocol, "Engine", tapped):
+            result = frontier_protocol.run_frontier_protocol(
+                Hypercube(dimension), delay=_DELAYS[delay](), intruder=intruder
+            )
+    else:
+        runner = _RUNNERS[protocol][0]
+        result = runner(
+            dimension, delay=_DELAYS[delay](), intruder=intruder, subscribers=subscribers
+        )
+    h = hashlib.sha256()
+    for event in result.trace:
+        h.update(repr(event).encode())
+    for event in stream:
+        h.update(repr(event).encode())
+    h.update(
+        repr(
+            (
+                result.event_count,
+                result.summary(),
+                result.peak_whiteboard_bits,
+                result.peak_agent_memory_bits,
+                result.team_size,
+                result.terminated_agents,
+                result.blocked_agents,
+                sorted(result.final_states.items()),
+            )
+        ).encode()
+    )
+    h.update(json.dumps(collector.snapshot(), sort_keys=True).encode())
+    h.update(repr([v.describe() for p in probes for v in p.violations]).encode())
+    return h.hexdigest()
+
+
+def matrix_digest(protocol: str) -> str:
+    """One digest over the protocol's whole matrix: d = 1.. its maximum
+    (H_2..H_5 for the frontier protocol), every delay regime, both
+    intruders."""
+    dims = range(2, 6) if protocol == "frontier" else range(1, _RUNNERS[protocol][1] + 1)
+    h = hashlib.sha256()
+    for d in dims:
+        for delay in _DELAYS:
+            for intruder in _INTRUDERS:
+                h.update(run_digest(protocol, d, delay, intruder).encode())
+    return h.hexdigest()[:16]
+
+
+#: computed with :func:`matrix_digest` on the full-scan engine
+GOLDEN = {
+    "clean": "88fc26b10cb67364",
+    "visibility": "bcfd700a99c20dbc",
+    "cloning": "4ec66685701122da",
+    "synchronous": "b8b0d87f86786341",
+    "frontier": "77d466e20c9b8018",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+def test_golden_digests_match_full_scan(protocol):
+    assert matrix_digest(protocol) == GOLDEN[protocol]
+
+
+# --------------------------------------------------------------------- #
+# hypothesis: drawn protocols, index vs full scan
+# --------------------------------------------------------------------- #
+
+#: ``a`` twice: most waits and writes meet on one key
+_KEYS = ("a", "a", "b")
+
+
+def _increment(key):
+    def mutate(board: Dict[str, Any]) -> int:
+        board[key] = board.get(key, 0) + 1
+        return board[key]
+
+    return mutate
+
+
+def _safe_neighbours(view) -> int:
+    return sum(s is not NodeState.CONTAMINATED for s in view.neighbor_states().values())
+
+
+def _predicate(spec):
+    """A wait predicate from its drawn spec; ``or`` forms short-circuit."""
+    kind = spec[0]
+    if kind == "board":
+        _, key, need = spec
+        return lambda view: (view.wb(key) or 0) >= need
+    if kind == "sight":
+        need = spec[1]
+        return lambda view: _safe_neighbours(view) >= need
+    if kind == "clock":
+        at = spec[1]
+        return lambda view: view.time >= at
+    if kind == "never":
+        return lambda view: False
+    _, first, second = spec  # "or"
+    left, right = _predicate(first), _predicate(second)
+    return lambda view: left(view) or right(view)
+
+
+def _behaviour(script, clones):
+    def behaviour(ctx):
+        for op in script:
+            kind = op[0]
+            if kind == "move":
+                yield Move(ctx.node ^ (1 << (op[1] % ctx.dimension)))
+            elif kind == "write":
+                yield WriteWhiteboard(op[1], op[2])
+            elif kind == "update":
+                yield UpdateWhiteboard(_increment(op[1]))
+            elif kind == "read":
+                yield ReadWhiteboard(op[1])
+            elif kind == "see":
+                yield See()
+            elif kind == "wait":
+                spec, wake_at = op[1], op[2]
+                yield WaitUntil(_predicate(spec), description=repr(spec), wake_at=wake_at)
+            elif kind == "clone":
+                yield CloneSelf(_behaviour(clones[op[1] % len(clones)], clones))
+        yield Terminate()
+
+    return behaviour
+
+
+_board_specs = st.tuples(st.just("board"), st.sampled_from(_KEYS), st.integers(1, 2))
+_leaf_specs = st.one_of(
+    _board_specs,
+    _board_specs,
+    st.tuples(st.just("sight"), st.integers(1, 4)),
+    st.tuples(st.just("clock"), st.integers(1, 10)),
+    st.just(("never",)),
+)
+_wait_specs = st.one_of(
+    _leaf_specs, st.tuples(st.just("or"), _leaf_specs, _leaf_specs)
+)
+_waits = st.tuples(
+    st.just("wait"), _wait_specs, st.one_of(st.none(), st.integers(1, 10).map(float))
+)
+_updates = st.tuples(st.just("update"), st.sampled_from(_KEYS))
+_writes = st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(_KEYS), st.integers(0, 2)), _updates, _updates
+)
+# waits and writes weigh more than moves, so agents meet on one board
+_plain_ops = st.one_of(
+    _waits,
+    _waits,
+    _waits,
+    _writes,
+    _writes,
+    _writes,
+    st.tuples(st.just("move"), st.integers(0, 3)),
+    st.one_of(st.tuples(st.just("read"), st.sampled_from(_KEYS)), st.just(("see",))),
+)
+_clone_scripts = st.lists(_plain_ops, max_size=5)
+_scripts = st.lists(
+    st.one_of(_plain_ops, st.tuples(st.just("clone"), st.integers(0, 2))), max_size=10
+)
+#: a capability is granted three times in four; without it the protocol's
+#: first use of it raises, which both engines must do identically
+_capability = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def drawn_runs(draw):
+    team = draw(st.lists(_scripts, min_size=2, max_size=5))
+    clones = draw(st.lists(_clone_scripts, min_size=1, max_size=3))
+    crashes = draw(
+        st.dictionaries(st.integers(0, len(team) - 1), st.integers(0, 8), max_size=2)
+    )
+    return {
+        "dimension": draw(st.integers(1, 4)),
+        "team": team,
+        "clones": clones,
+        "delay_seed": draw(st.one_of(st.none(), st.integers(0, 3))),
+        "visibility": draw(_capability),
+        "cloning": draw(_capability),
+        "global_clock": draw(_capability),
+        "intruder": draw(st.sampled_from(_INTRUDERS)),
+        "fault_plan": crashes,
+    }
+
+
+def _observe(engine_cls, run) -> Dict[str, Any]:
+    """Everything observable of one run: outcome, trace, bus stream."""
+    stream: List[str] = []
+    seed = run["delay_seed"]
+    engine = engine_cls(
+        Hypercube(run["dimension"]),
+        [_behaviour(script, run["clones"]) for script in run["team"]],
+        delay=UnitDelay() if seed is None else RandomDelay(seed=seed),
+        visibility=run["visibility"],
+        cloning=run["cloning"],
+        global_clock=run["global_clock"],
+        intruder=run["intruder"],
+        fault_plan=run["fault_plan"],
+        max_events=20_000,
+        subscribers=[lambda event: stream.append(repr(event))],
+    )
+    try:
+        result = engine.run()
+        outcome = (result.summary(), result.event_count, result.blocked_agents)
+    except ReproError as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return {
+        "outcome": outcome,
+        "trace": [repr(event) for event in engine._trace],
+        "stream": stream,
+    }
+
+
+@FUZZ
+@given(drawn_runs())
+def test_index_matches_full_scan_on_drawn_protocols(run):
+    assert _observe(Engine, run) == _observe(PollingEngine, run)
+
+
+# --------------------------------------------------------------------- #
+# evaluation counts
+# --------------------------------------------------------------------- #
+#
+# Each waiter logs the engine's time at every evaluation of its predicate.
+# The time is read from the engine, not through the view, so the log
+# itself adds nothing to the predicate's reads.
+
+
+def _counted(predicate, calls: List[float], now):
+    def wrapped(view):
+        calls.append(now())
+        return predicate(view)
+
+    return wrapped
+
+
+def _walker(path, write_first=None):
+    def behaviour(ctx):
+        if write_first is not None:
+            yield WriteWhiteboard(*write_first)
+        for node in path:
+            yield Move(node)
+        yield Terminate()
+
+    return behaviour
+
+
+def _waiter(predicate, calls, now):
+    def behaviour(ctx):
+        yield WaitUntil(_counted(predicate, calls, now))
+        yield Terminate()
+
+    return behaviour
+
+
+@pytest.mark.parametrize("moves", [1, 6, 25])
+def test_board_waiter_runs_twice_while_others_move(moves):
+    """A board waiter at node 0 runs its predicate at its wait and after
+    the one board write on node 0 — never for the moves elsewhere."""
+    calls: List[float] = []
+    waiter = _waiter(lambda view: view.wb("go") == 1, calls, lambda: engine.time)
+    walker = _walker(([1, 3] * moves)[:moves], write_first=("noise", 1))
+    engine = Engine(Hypercube(3), [waiter, walker])
+    result = engine.run()
+    assert result.total_moves == moves
+    assert result.blocked_agents == 1
+    assert calls == [0.0, 0.0]
+
+
+def test_board_waiter_wakes_on_the_write_it_waits_for():
+    calls: List[float] = []
+    waiter = _waiter(lambda view: view.wb("go") == 1, calls, lambda: engine.time)
+
+    def writer(ctx):
+        for node in (1, 3, 1, 0):
+            yield Move(node)
+        yield WriteWhiteboard("go", 1)
+        yield Terminate()
+
+    engine = Engine(Hypercube(3), [waiter, writer])
+    result = engine.run()
+    assert result.blocked_agents == 0
+    # the wait, the write, the re-check at wake-up
+    assert calls == [0.0, 4.0, 4.0]
+    assert [e.kind for e in result.trace if e.agent == 0] == ["wait", "wake", "terminate"]
+
+
+def test_sight_waiter_reruns_only_on_its_neighbourhood():
+    """Node 0's neighbours are 1, 2 and 4: the moves onto 1, off 1 and
+    onto 4 re-run the predicate; the moves among 3, 7 and 5 do not."""
+    calls: List[float] = []
+    waiter = _waiter(lambda view: _safe_neighbours(view) == 3, calls, lambda: engine.time)
+    engine = Engine(Hypercube(3), [waiter, _walker([1, 3, 7, 5, 4])], visibility=True)
+    result = engine.run()
+    assert result.total_moves == 5
+    assert calls == [0.0, 1.0, 2.0, 5.0]
+
+
+def test_clock_waiter_reruns_once_per_clock_advance():
+    """Three agents move in lockstep (three events per instant): the clock
+    waiter re-runs once per advance, not once per event."""
+    calls: List[float] = []
+    waiter = _waiter(lambda view: view.time >= 99, calls, lambda: engine.time)
+    movers = [_walker([1 << k, 0, 1 << k, 0, 1 << k]) for k in range(3)]
+    engine = Engine(Hypercube(3), [waiter, *movers], global_clock=True)
+    result = engine.run()
+    assert result.total_moves == 15
+    assert calls == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_predicate_reading_nothing_is_never_rerun():
+    calls: List[float] = []
+    waiter = _waiter(lambda view: False, calls, lambda: engine.time)
+    walker = _walker([1, 0, 1], write_first=("x", 1))
+    engine = Engine(Hypercube(2), [waiter, walker], visibility=True, global_clock=True)
+    result = engine.run()
+    assert result.total_moves == 3
+    assert calls == [0.0]
+
+
+def test_short_circuit_refiles_under_the_new_reads():
+    """``armed and time >= 99``: while the board is unarmed the clock is
+    not read, so the advance to 1 does not re-run it; once the write at 2
+    arms the board, the next evaluation reads the clock too, and every
+    later advance re-runs it."""
+    calls: List[float] = []
+    waiter = _waiter(
+        lambda view: bool(view.wb("armed")) and view.time >= 99, calls, lambda: engine.time
+    )
+
+    def mover(ctx):
+        yield Move(1)
+        yield Move(0)
+        yield WriteWhiteboard("armed", 1)
+        yield Move(1)
+        yield Move(0)
+        yield Terminate()
+
+    engine = Engine(Hypercube(2), [waiter, mover], global_clock=True)
+    result = engine.run()
+    assert result.blocked_agents == 1
+    assert calls == [0.0, 2.0, 3.0, 4.0]
+
+
+# --------------------------------------------------------------------- #
+# whiteboard reads
+# --------------------------------------------------------------------- #
+
+
+def test_scalar_read_returns_the_stored_object(monkeypatch):
+    wb = Whiteboard(0, 3)
+    big, text = 10**30, "squad" * 3
+    wb.write("n", big)
+    wb.write("s", text)
+    wb.write("f", 2.5)
+    wb.write("b", True)
+    wb.write("z", None)
+
+    def no_copy(value, memo=None):
+        raise AssertionError("a scalar read deep-copied")
+
+    monkeypatch.setattr(copy, "deepcopy", no_copy)
+    assert wb.read("n") is big
+    assert wb.read("s") is text
+    assert wb.read("f") == 2.5 and wb.read("b") is True
+    assert wb.read("z") is None and wb.read("missing") is None
+
+
+def test_container_read_is_still_a_copy():
+    wb = Whiteboard(0, 3)
+    wb.write("arrivals", [1, 2])
+    got = wb.read("arrivals")
+    got.append(3)
+    assert wb.read("arrivals") == [1, 2]
+    assert wb.read() == {"arrivals": [1, 2]} and wb.read() is not wb._data

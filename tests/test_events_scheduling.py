@@ -38,6 +38,16 @@ class TestEventQueue:
         assert q.peek().time == 2.0
         assert len(q) == 1
 
+    def test_peek_and_pop_return_the_pushed_event(self):
+        q = EventQueue()
+        later = q.push(2.0, 7, token=3)
+        first = q.push(1.0, 8)
+        assert q.peek() is first
+        assert q.pop() is first
+        assert q.peek() is later
+        assert (later.time, later.agent_id, later.token) == (2.0, 7, 3)
+        assert q.pop() is later and q.peek() is None
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, 0)

@@ -310,6 +310,27 @@ class TestVectorMT19937:
         got = vmt.getrandbits64()
         assert got.tolist() == [r.getrandbits(64) for r in refs]
 
+    def test_buffer_grows_on_demand_then_rows_diverge(self):
+        """The tempered buffer starts empty and grows with the deepest
+        cursor: past 64 words, then across the 624-word block in
+        lockstep; rejection sampling then splits the rows, which cross
+        the next block one by one."""
+        seeds = [0, 7, 2**32 - 1, 2**32, 2005 << 40, 2**64 - 1]  # short and wide keys
+        vmt = npk.VectorMT19937(seeds)
+        refs = [random.Random(s) for s in seeds]
+        assert vmt._buf.shape[0] == 0
+        for _ in range(70):
+            assert vmt.getrandbits32().tolist() == [r.getrandbits(32) for r in refs]
+        assert 70 <= vmt._buf.shape[0] < 624
+        for _ in range(300):
+            assert vmt.getrandbits64().tolist() == [r.getrandbits(64) for r in refs]
+        assert vmt._synced
+        got = vmt.randint_matrix(1, 6, 400)
+        assert got.tolist() == [[r.randint(1, 6) for _ in range(400)] for r in refs]
+        got = vmt.randint_matrix(1, 6, 500)
+        assert got.tolist() == [[r.randint(1, 6) for _ in range(500)] for r in refs]
+        assert not vmt._synced
+
 
 # --------------------------------------------------------------------- #
 # verifier parity: verdicts, error indices, error messages

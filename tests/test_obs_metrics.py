@@ -3,8 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Counter, Gauge, MetricsRegistry, SimMetricsCollector, TimeSeries
+from repro.obs.events import (
+    CrashEvent,
+    MoveEvent,
+    SpawnEvent,
+    TerminateEvent,
+    WaitEvent,
+    WakeEvent,
+)
 from repro.obs.report import render_report, sparkline
 from repro.protocols.cloning_protocol import run_cloning_protocol
 from repro.protocols.visibility_protocol import run_visibility_protocol
@@ -139,6 +149,45 @@ class TestCollector:
     def test_sample_every_validation(self):
         with pytest.raises(ValueError):
             SimMetricsCollector(sample_every=0)
+
+
+class TestCollectorStatusCounts:
+    """The agent gauges are kept incrementally; they must always equal a
+    recount of ``agent_states``."""
+
+    _EVENTS = {
+        "spawn": SpawnEvent,
+        "wait": WaitEvent,
+        "wake": WakeEvent,
+        "terminate": TerminateEvent,
+        "crash": CrashEvent,
+        "move": lambda time, agent, node: MoveEvent(
+            time, agent, node, src=0, clean_mask=1, guard_mask=2, frontier_mask=2
+        ),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(_EVENTS)), st.integers(-1, 5)),
+            max_size=60,
+        )
+    )
+    def test_gauges_equal_a_recount(self, stream):
+        collector = SimMetricsCollector()
+        gauges = collector.registry.gauge
+        for step, (kind, agent) in enumerate(stream):
+            collector(self._EVENTS[kind](float(step), agent, 0))
+            states = list(collector.agent_states.values())
+            assert gauges("agents_total").value == len(states)
+            assert gauges("agents_blocked").value == states.count("blocked")
+            assert gauges("agents_terminated").value == (
+                states.count("terminated") + states.count("crashed")
+            )
+            if kind == "move":
+                assert collector.registry.series("agents_blocked").last() == (
+                    float(step), states.count("blocked")
+                )
 
 
 class TestReport:
