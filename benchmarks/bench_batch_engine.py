@@ -66,17 +66,26 @@ def _spec(dimension=None, trials=None, intruder="reachable"):
     )
 
 
+_M64, _GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    """The SplitMix64 finalizer on a Python int."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
 def _intruder_seeds(spec):
-    """Each trial's intruder seed, re-derived from its sub-stream in the
-    documented draw order: homebase, intruder seed, delay seed."""
-    master = random.Random(spec.rng_seed)
-    seeds = []
-    for _ in range(spec.trials):
-        trial = random.Random(master.getrandbits(64))
-        if spec.rotate_homebase:
-            trial.randrange(1 << spec.dimension)
-        seeds.append(trial.getrandbits(64))
-    return seeds
+    """Each trial's intruder seed, re-derived from the documented draw
+    contract (``repro.fastpath.batchsim``, "Determinism"): slot 1 of
+    trial ``t``, ``mix(key_t + 2γ)`` with ``key_t = mix(fold(seed) ^ mix(t))``."""
+    key, mag = int(spec.rng_seed < 0), abs(spec.rng_seed)
+    while True:  # fold the seed, one 64-bit limb at a time
+        key, mag = _mix((key + _GAMMA & _M64) ^ (mag & _M64)), mag >> 64
+        if not mag:
+            break
+    return [_mix(_mix(key ^ _mix(t)) + 2 * _GAMMA & _M64) for t in range(spec.trials)]
 
 
 def _scalar_capture(schedule, topology, intruder="reachable", intruder_seed=0):

@@ -244,8 +244,8 @@ def montecarlo_jobs(spec: Any, shards: int) -> List[Job]:
     """One ``batch_cell`` job per contiguous trial window, serial order.
 
     The campaign's trials are split into ``shards`` near-equal windows
-    ``[start, start+count)``.  Because every worker replays the master
-    seed stream and skips to its window
+    ``[start, start+count)``.  Because a trial's draws are a pure
+    function of the seed and the trial's index
     (:mod:`repro.fastpath.batchsim`, determinism section), the merged
     shards equal the serial run regardless of the split or the pool's
     scheduling.

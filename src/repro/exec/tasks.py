@@ -152,8 +152,8 @@ def batch_cell(payload: Dict[str, Any], ctx: TaskContext) -> Dict[str, Any]:
 
     Runs trials ``[start, start+count)`` of the
     :class:`~repro.fastpath.batchsim.BatchScenarioSpec` through
-    :func:`~repro.fastpath.batchsim.run_batch`.  Each worker replays the
-    master seed stream and skips the first ``start`` sub-seeds, so the
+    :func:`~repro.fastpath.batchsim.run_batch`.  A trial's draws are a
+    pure function of the spec's seed and the trial's index, so the
     merged shards equal the serial campaign trial-for-trial no matter
     how the pool schedules them.  Returns the shard's columnar
     :class:`~repro.fastpath.batchsim.BatchResult` payload (JSON-able),

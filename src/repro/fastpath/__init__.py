@@ -23,10 +23,9 @@ makes re-measuring and re-verifying them cheap:
   homebase scenarios scored against it in homebase-relative
   coordinates (see :mod:`repro.fastpath.batchsim`);
 * :mod:`repro.fastpath.npkernels` — the bit-plane kernels, the one fast
-  path: packed chunk verification of every non-cloning schedule and
-  array-of-scenarios Monte Carlo for the ``reachable`` policy,
-  byte-identical in verdicts and statistics to the reference replays
-  the tests compare them against.
+  path: packed chunk verification of every non-cloning schedule,
+  byte-identical in verdicts to the reference replay the tests compare
+  it against.
 
 Layering: this package sits between the core schedule plane and the
 analysis/exec consumers — it imports ``core``/``topology``/``errors``

@@ -57,27 +57,51 @@ Delay models
 ------------
 Scenario delays are per-time-unit integer *stretches* (unit ``u`` takes
 ``stretch[u] >= 1`` wall ticks): ``unit`` (all ones), ``random``
-(uniform integers from the trial sub-stream) and ``adversarial`` (every
-``period``-th unit stretched by ``factor`` — the slowest-link
-adversary).  Stretches relabel the clock without reordering moves, so
-capture *units* are delay-invariant and capture *wall times* are the
-prefix sums — exactly the paper's ideal-time/asynchronous-time split.
+(uniform integers drawn per trial and unit, see below) and
+``adversarial`` (every ``period``-th unit stretched by ``factor`` — the
+slowest-link adversary).  Stretches relabel the clock without reordering
+moves, so capture *units* are delay-invariant and capture *wall times*
+are the prefix sums — exactly the paper's ideal-time/asynchronous-time
+split.
 
 Determinism
 -----------
-A master ``random.Random(spec.rng_seed)`` yields one ``getrandbits(64)``
-sub-seed per trial; each trial draws, in fixed order, its homebase, its
-infection seeds, its intruder seed and its delay seed from its own
-``random.Random`` sub-stream.  Shard workers draw the same master
-sequence and skip the first ``start`` sub-seeds, so sharded and serial
-campaigns produce identical scenarios trial-for-trial.  A shard's
+A trial's draws are a pure function of ``(rng_seed, trial, slot)``: a
+counter-based generator in the style of Random123 (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), with no state
+to seed, replay or skip.  With ``mix`` the SplitMix64 finalizer, ``γ``
+its odd increment ``0x9E3779B97F4A7C15`` and all arithmetic mod 2**64,
+word ``j`` of trial ``t`` is ``mix(key_t + (j + 1)·γ)``, where
+``key_t = mix(fold(rng_seed) ^ mix(t))``.  ``fold`` takes a seed of any
+sign and width limb by limb: starting from ``acc = 1`` for a negative
+seed and ``0`` otherwise, each 64-bit limb of ``|rng_seed|``, least
+significant first, sets ``acc = mix((acc + γ) ^ limb)``.  Each quantity
+owns fixed slots, so no other draw's value can shift it:
+
+* slot 0 — the homebase ``w >> (64 - d)`` (exact, as ``n = 2**d``);
+  unused when the homebase does not rotate;
+* slot 1 — the intruder seed, a raw word: walkers move with
+  ``random.Random(intruder_seed)``, as the engine's intruder does with
+  that ``intruder_seed`` (pack starts included, :func:`_draw_others`);
+* slots ``2 .. 2 + k - 1`` — the ``inert`` policy's ``k`` seeds, by
+  Floyd's algorithm: one draw ``w % (j + 1)`` for each ``j`` in
+  ``range(n - 1 - k, n - 1)``, stepped over the homebase (``k = 0`` for
+  the other policies);
+* slot ``2 + k + u`` — the ``random`` stretch of unit ``u``,
+  ``delay_low + w % r`` with ``r = delay_high - delay_low + 1`` (bias
+  below ``r / 2**64``).
+
+A shard computes the words of its own trials only, so sharded and serial
+campaigns produce identical scenarios trial for trial.  A shard's
 timeline and seed memos live only as long as its :func:`run_batch` call,
 so a shard's payload, counters included, is a pure function of
-``(spec, start, count)``.
+``(spec, start, count)``.  Every spec payload carries the tag
+:data:`RNG_CONTRACT`, and a payload with another tag or none fails to
+load, so shards drawn under different contracts never merge.
 
 Layering: like the rest of ``repro.fastpath`` this module imports only
 ``core``/``topology``/``errors`` and numpy (lint rule RPR220); the engine-twin
-semantics are cross-checked by randomized batch≡scalar tests instead of
+semantics are cross-checked by randomized batch ≡ engine tests instead of
 shared code.
 """
 
@@ -93,7 +117,7 @@ import numpy as np
 from repro.errors import ScheduleError, SimulationError
 from repro.fastpath.batchverify import batch_verify
 from repro.fastpath.compiled import CompiledSchedule
-from repro.fastpath.npkernels import VectorMT19937, check_backend
+from repro.fastpath.npkernels import check_backend
 from repro.topology.hypercube import Hypercube
 
 __all__ = [
@@ -102,6 +126,7 @@ __all__ = [
     "BatchStats",
     "DELAY_KINDS",
     "INTRUDER_POLICIES",
+    "RNG_CONTRACT",
     "ScenarioTimeline",
     "compile_for_spec",
     "replay_order",
@@ -113,6 +138,10 @@ INTRUDER_POLICIES = ("reachable", "inert", "walker", "walkers")
 
 #: Per-unit stretch families for the delay adversary.
 DELAY_KINDS = ("unit", "random", "adversarial")
+
+#: Tag of the trial-draw contract (module docstring, "Determinism"),
+#: written into every spec payload and required when one is read back.
+RNG_CONTRACT = "splitmix64-counter/1"
 
 
 # --------------------------------------------------------------------- #
@@ -142,7 +171,8 @@ class BatchScenarioSpec:
         Sample a uniform homebase per trial (XOR automorphism) instead
         of launching every sweep from node 0.
     rng_seed:
-        Master seed; the whole campaign is a pure function of the spec.
+        Campaign seed, any integer; the whole campaign is a pure
+        function of the spec (module docstring, "Determinism").
     """
 
     dimension: int
@@ -182,7 +212,8 @@ class BatchScenarioSpec:
             raise ScheduleError("adversarial delay needs factor >= 1 and period >= 1")
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-able form (the ``batch_cell`` task payload)."""
+        """JSON-able form (the ``batch_cell`` task payload), tagged with
+        :data:`RNG_CONTRACT`."""
         return {
             "dimension": self.dimension,
             "strategy": self.strategy,
@@ -197,16 +228,26 @@ class BatchScenarioSpec:
             "delay_period": self.delay_period,
             "rotate_homebase": self.rotate_homebase,
             "rng_seed": self.rng_seed,
+            "rng": RNG_CONTRACT,
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "BatchScenarioSpec":
-        """Inverse of :meth:`to_payload` (unknown keys rejected)."""
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(payload) - known
+        """Inverse of :meth:`to_payload` (unknown keys rejected).
+
+        A payload written under another draw contract, or under none,
+        raises instead of loading: its trials are not this contract's.
+        """
+        fields = dict(payload)
+        tag = fields.pop("rng", None)
+        if tag != RNG_CONTRACT:
+            raise ScheduleError(
+                f"batch spec drawn under rng contract {tag!r}, not {RNG_CONTRACT!r}"
+            )
+        extra = set(fields) - set(cls.__dataclass_fields__)
         if extra:
             raise ScheduleError(f"unknown batch spec fields: {sorted(extra)}")
-        return cls(**payload)
+        return cls(**fields)
 
 
 def compile_for_spec(
@@ -513,8 +554,11 @@ class ScenarioTimeline:
                 guard_count[src] -= 1
                 if guard_count[src] == 0:
                     gmask &= ~(1 << src)
-                    # departure rule, move-granular like ContaminationMap
-                    if clean & (1 << src) and topo.neighbor_mask(src) & self.full & ~clean:
+                    # departure rule, move-granular like ContaminationMap.
+                    # A guarded node is always clean (arrivals and clones
+                    # set both bits, and the flood never clears a guarded
+                    # node), so the vacated src needs no clean test
+                    if topo.neighbor_mask(src) & self.full & ~clean:
                         flood_from(src)
             self.unit_times.append(unit_time)
             self.guard_after.append(gmask)
@@ -610,8 +654,8 @@ class ScenarioTimeline:
             guard_count[src] -= 1
             if guard_count[src] == 0:
                 gmask &= ~(1 << src)
-                if clean & (1 << src) and topo.neighbor_mask(src) & full & ~clean:
-                    # same flood as the unit replay, move-granular
+                if topo.neighbor_mask(src) & full & ~clean:
+                    # the departure rule and flood of _replay
                     wave = 1 << src
                     clean &= ~wave
                     while wave:
@@ -742,34 +786,118 @@ def _run_walkers(
 
 
 # --------------------------------------------------------------------- #
-# delay stretches
+# counter-based trial draws
 # --------------------------------------------------------------------- #
 
+_M64 = (1 << 64) - 1
+#: SplitMix64's odd increment γ (module docstring, "Determinism")
+_GAMMA = 0x9E3779B97F4A7C15
+_U64 = np.uint64
 
-def _stretches(spec: BatchScenarioSpec, units: int, rng: random.Random) -> Optional[List[int]]:
-    """Per-unit wall-tick stretches; ``None`` means all ones (unit)."""
-    if spec.delay == "unit":
-        return None
+#: words per block when a random-delay shard folds its stretches into
+#: wall times, so memory stays bounded whatever count × units is
+_BLOCK_WORDS = 1 << 20
+
+
+def _mix(z: Any) -> Any:
+    """The SplitMix64 finalizer, in place on a uint64 array (mod 2**64)."""
+    z ^= z >> _U64(30)
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return z
+
+
+def _fold(seed: int) -> int:
+    """The 64-bit key of an integer seed of any sign and width."""
+    acc, mag = int(seed < 0), abs(seed)
+    while True:
+        word = np.array([((acc + _GAMMA) & _M64) ^ (mag & _M64)], dtype=_U64)
+        acc, mag = int(_mix(word)[0]), mag >> 64
+        if not mag:
+            return acc
+
+
+class _TrialWords:
+    """The words of trials ``[start, start + count)`` of a campaign."""
+
+    def __init__(self, rng_seed: int, start: int, count: int) -> None:
+        trials = _mix(np.arange(start, start + count, dtype=_U64))
+        self.keys = _mix(trials ^ _U64(_fold(rng_seed)))
+
+    def block(self, first: int, last: int) -> Any:
+        """Slots ``first .. last - 1`` of every trial, ``(count, last - first)``."""
+        steps = np.arange(first + 1, last + 1, dtype=_U64) * _U64(_GAMMA)
+        return _mix(self.keys[:, None] + steps[None, :])
+
+    def column(self, slot: int) -> Any:
+        """Slot ``slot`` of every trial."""
+        return self.block(slot, slot + 1)[:, 0]
+
+
+def _homebases(spec: BatchScenarioSpec, words: _TrialWords) -> Any:
+    """Each trial's homebase (slot 0, or node 0 without rotation)."""
+    if not spec.rotate_homebase:
+        return np.zeros(len(words.keys), dtype=np.int64)
+    return (words.column(0) >> _U64(64 - spec.dimension)).astype(np.int64)
+
+
+def _inert_count(spec: BatchScenarioSpec) -> int:
+    """Seeds per trial the spec draws (slots ``2 .. 2 + k - 1``)."""
+    if spec.intruder != "inert":
+        return 0
+    return min(spec.seeds_per_trial, (1 << spec.dimension) - 1)
+
+
+def _inert_seeds(spec: BatchScenarioSpec, words: _TrialWords, homes: Any) -> Any:
+    """Each trial's ``k`` distinct non-homebase seeds, ``(count, k)``:
+    Floyd's algorithm on ``range(n - 1)`` (slots ``2 .. 2 + k - 1``),
+    stepped over the homebase."""
+    n = 1 << spec.dimension
+    k = _inert_count(spec)
+    picks = np.empty((len(homes), k), dtype=np.int64)
+    for i, j in enumerate(range(n - 1 - k, n - 1)):
+        drawn = (words.column(2 + i) % _U64(j + 1)).astype(np.int64)
+        taken = (picks[:, :i] == drawn[:, None]).any(axis=1)
+        picks[:, i] = np.where(taken, j, drawn)
+    return picks + (picks >= homes[:, None])
+
+
+def _walls(
+    spec: BatchScenarioSpec, words: _TrialWords, caps: Any, units: int
+) -> Tuple[Any, Any]:
+    """Each trial's ``(capture wall, sweep duration)`` in wall ticks.
+
+    The capture wall is the sum of the stretches of units ``0 .. cap``
+    (-1 where ``cap`` is -1: never captured), the duration the sum over
+    every unit.  Random stretches (slots ``2 + k + u``) are folded
+    ``_BLOCK_WORDS`` at a time, never held for the whole shard.
+    """
+    count = len(caps)
     if spec.delay == "random":
-        return [rng.randint(spec.delay_low, spec.delay_high) for _ in range(units)]
-    # adversarial: every period-th unit runs factor times slower
-    return [
-        spec.delay_factor if (u % spec.delay_period) == 0 else 1
-        for u in range(1, units + 1)
-    ]
-
-
-def _wall_times(stretches: Optional[List[int]], units: int) -> Tuple[List[int], int]:
-    """Prefix sums of the stretches (wall clock at each unit boundary)."""
-    if stretches is None:
-        walls = list(range(1, units + 1))
-        return walls, units
-    walls = []
-    acc = 0
-    for s in stretches:
-        acc += s
-        walls.append(acc)
-    return walls, acc
+        width = _U64(spec.delay_high - spec.delay_low + 1)
+        first = 2 + _inert_count(spec)
+        durations = np.zeros(count, dtype=np.int64)
+        walls = np.zeros(count, dtype=np.int64)
+        step = max(1, _BLOCK_WORDS // max(count, 1))
+        for u in range(0, units, step):
+            block = words.block(first + u, first + min(units, u + step))
+            block %= width
+            stretches = block.view(np.int64)
+            stretches += spec.delay_low
+            durations += stretches.sum(axis=1)
+            stretches[np.arange(u, u + stretches.shape[1])[None, :] > caps[:, None]] = 0
+            walls += stretches.sum(axis=1)
+        return np.where(caps >= 0, walls, -1), durations
+    ticks = np.ones(units, dtype=np.int64)
+    if spec.delay == "adversarial":
+        # every period-th unit runs factor times slower
+        ticks[spec.delay_period - 1 :: spec.delay_period] = spec.delay_factor
+    prefix = np.cumsum(ticks)
+    duration = int(prefix[-1]) if units else 0
+    # a trailing -1 answers the index -1 of an uncaptured trial
+    return np.append(prefix, -1)[caps], np.full(count, duration, dtype=np.int64)
 
 
 # --------------------------------------------------------------------- #
@@ -957,44 +1085,17 @@ class BatchResult:
 # --------------------------------------------------------------------- #
 
 
-#: sub-seeds skipped per ``getrandbits`` call while a shard seeks its
-#: window (bounds the throwaway integer at 512 KiB)
-_SKIP_DRAWS = 65_536
-
-
-def _trial_subseeds(spec: BatchScenarioSpec, start: int, count: int) -> List[int]:
-    """Sub-seeds for trials ``[start, start+count)`` — the master stream
-    is replayed from the top and the first ``start`` draws skipped, so a
-    shard sees exactly the trials the serial run would.
-
-    CPython's ``getrandbits(64 * m)`` consumes exactly the ``2m`` words
-    that ``m`` calls of ``getrandbits(64)`` would and packs them least
-    significant word first, so the skip and the window are a few big
-    draws instead of one call per trial; the window's little-endian
-    64-bit limbs are the per-trial sub-seeds.
-    """
-    master = random.Random(spec.rng_seed)
-    skipped = 0
-    while skipped < start:
-        step = min(_SKIP_DRAWS, start - skipped)
-        master.getrandbits(64 * step)
-        skipped += step
-    if not count:
-        return []
-    window = master.getrandbits(64 * count).to_bytes(8 * count, "little")
-    return np.frombuffer(window, dtype="<u8").tolist()
-
-
 def _draw_others(rng: random.Random, n: int, home: int, k: int) -> List[int]:
-    """``k`` nodes of ``H_d`` other than ``home``, drawn exactly as
-    ``rng.sample(others, k)`` (``k <= n - 1``) or ``k`` calls of
-    ``rng.choice(others)`` (``k > n - 1``) would draw them from
-    ``others = [x for x in range(n) if x != home]``, in O(k).
+    """The ``walkers`` pack starts: ``k`` nodes of ``H_d`` other than
+    ``home``, drawn exactly as :class:`~repro.sim.intruder.
+    MultiWalkerIntruder` draws them from the engine's contaminated nodes
+    ``others = [x for x in range(n) if x != home]`` — ``rng.sample(others,
+    k)`` for ``k <= n - 1``, else ``k`` calls of ``rng.choice(others)`` —
+    in O(k).
 
     Both draws pick by index, so indices drawn from ``range(n - 1)`` and
-    stepped over ``home`` (``j + (j >= home)``) are the same nodes.  Like
-    :class:`~repro.fastpath.npkernels.VectorMT19937`, this relies on
-    CPython's implementation of :mod:`random`.
+    stepped over ``home`` (``j + (j >= home)``) are the same nodes, and
+    ``rng`` ends in the same state.
     """
     indices = range(n - 1)
     if k <= n - 1:
@@ -1032,13 +1133,11 @@ def run_batch(
     compiled schedule's homebase, and scores every trial on it in
     homebase-relative coordinates, whatever the policy: its counters
     read ``timelines_built == 1`` and ``timelines_reused == count - 1``,
-    and ``inert_seed_evals`` counts distinct relative seeds.
-    ``reachable``-policy campaigns score all trials as column vectors
-    (vectorized RNG streams), byte-identical in results and counters to
-    the scalar trial loop that scores the ``inert`` and walker
-    policies.  ``backend`` accepts only ``None`` or ``"numpy"
-    (the name of the bit-plane kernel) and changes nothing; any other
-    value raises :class:`~repro.errors.ScheduleError`.
+    and ``inert_seed_evals`` counts distinct relative seeds.  An empty
+    shard builds nothing and returns an empty result.  ``backend``
+    accepts only ``None`` or ``"numpy"`` (the name of the bit-plane
+    kernel) and changes nothing; any other value raises
+    :class:`~repro.errors.ScheduleError`.
     """
     check_backend(backend)
     if count is None:
@@ -1109,13 +1208,12 @@ def _run_batch(
             timeline = ScenarioTimeline(base, base.homebase, topo, stats=stats)
         if count > 1:
             stats.count("timelines_reused", count - 1)
-        score = _run_batch_reachable_np if policy == "reachable" else _run_batch_scalar
-        score(spec, start, count, timeline, stats, result)
+        _score_shard(spec, start, count, timeline, stats, result)
     result.counters = stats.as_dict()
     return result
 
 
-def _run_batch_scalar(
+def _score_shard(
     spec: BatchScenarioSpec,
     start: int,
     count: int,
@@ -1123,37 +1221,33 @@ def _run_batch_scalar(
     stats: BatchStats,
     result: BatchResult,
 ) -> None:
-    """Score a shard one trial at a time on the shard's one timeline.
-    The ``inert`` and walker policies run here; for ``reachable`` it is
-    the reference the vectorized path is tested against."""
+    """Score trials ``[start, start+count)`` on the shard's one timeline.
+
+    Draws, homebases and wall times are column operations for every
+    policy.  The omniscient intruder's capture index is the timeline's
+    own, since relabelling the sweep by XOR changes neither it nor the
+    cumulative moves; only the ``inert`` and walker capture indices
+    loop over trials, each in its frame relative to the timeline.
+    """
     n = timeline.topo.n
     policy = spec.intruder
+    words = _TrialWords(spec.rng_seed, start, count)
+    homes = _homebases(spec, words)
+    # the XOR taking each trial's frame onto the timeline's
+    rels = (homes ^ timeline.home).tolist()
     moves_total = len(timeline.compiled)
-    units = len(timeline.unit_times)
-    for sub in _trial_subseeds(spec, start, count):
-        trial_rng = random.Random(sub)
-        # fixed draw order: homebase, infection seeds, intruder seed,
-        # delay seed — documented so scalar twins can reproduce a trial
-        home = trial_rng.randrange(n) if spec.rotate_homebase else 0
-        seeds: List[int] = []
-        if policy == "inert":
-            seeds = sorted(_draw_others(trial_rng, n, home, min(spec.seeds_per_trial, n - 1)))
-        intruder_seed = trial_rng.getrandbits(64)
-        delay_seed = trial_rng.getrandbits(64)
-        # the XOR taking this trial's frame onto the timeline's
-        rel = home ^ timeline.home
-
-        if policy == "reachable":
-            cap_index = timeline.reachable_capture_index()
-            caught = cap_index >= 0
-            moves_at = timeline.cum_moves[cap_index] if caught else moves_total
-        elif policy == "inert":
+    moves_at: Optional[List[int]] = None
+    if policy == "reachable":
+        caps = [timeline.reachable_capture_index()] * count
+    elif policy == "inert":
+        caps = []
+        for seeds, rel in zip(_inert_seeds(spec, words, homes).tolist(), rels):
             indices = [timeline.inert_capture_index(s ^ rel) for s in seeds]
-            caught = all(i >= 0 for i in indices)
-            cap_index = max(indices) if caught else -1
-            moves_at = timeline.cum_moves[cap_index] if caught else moves_total
-        else:
-            irng = random.Random(intruder_seed)
+            caps.append(max(indices) if min(indices) >= 0 else -1)
+    else:
+        caps, moves_at = [], []
+        for home, rel, seed in zip(homes.tolist(), rels, words.column(1).tolist()):
+            irng = random.Random(seed)
             if policy == "walker":
                 starts = [home ^ (n - 1)]  # the contaminated node farthest
                 # from the homebase — the hypercube antipode
@@ -1161,77 +1255,28 @@ def _run_batch_scalar(
             else:
                 starts = _draw_others(irng, n, home, spec.intruder_count)
                 rngs = [random.Random(irng.getrandbits(64)) for _ in starts]
-            caught, cap_index, moves_at = _run_walkers(timeline, starts, rngs, stats, rel)
+            _, cap_index, moves = _run_walkers(timeline, starts, rngs, stats, rel)
+            caps.append(cap_index)
+            moves_at.append(moves)
 
-        stretches = _stretches(spec, units, random.Random(delay_seed))
-        walls, duration = _wall_times(stretches, units)
-        result.homebases.append(home)
-        result.captured.append(caught)
-        result.capture_units.append(timeline.unit_times[cap_index] if caught else -1)
-        result.capture_walls.append(walls[cap_index] if caught else -1)
-        result.duration_walls.append(duration)
-        result.moves_to_capture.append(moves_at)
-        stats.count("trials")
-        stats.count("captures" if caught else "escapes")
-
-
-def _run_batch_reachable_np(
-    spec: BatchScenarioSpec,
-    start: int,
-    count: int,
-    timeline: ScenarioTimeline,
-    stats: BatchStats,
-    result: BatchResult,
-) -> None:
-    """Score a ``reachable``-policy shard as column vectors.
-
-    The omniscient intruder's capture unit is the index at which the
-    contaminated region empties, and relabelling the sweep by XOR
-    changes neither that index nor the cumulative moves or unit count.
-    So the shard's one timeline scores every trial without a per-trial
-    frame; what actually varies per trial is the drawn homebase and the
-    delay stretches, which :class:`~repro.fastpath.npkernels.
-    VectorMT19937` draws for all trials at once, word-for-word on each
-    trial's ``random.Random`` sub-stream.
-    """
-    n = timeline.topo.n
-    vmt = VectorMT19937(_trial_subseeds(spec, start, count))
-    # fixed draw order per trial sub-stream (see _run_batch_scalar):
-    # homebase, intruder seed, delay seed — the intruder seed is drawn to
-    # keep the stream aligned even though the reachable policy never uses it
-    if spec.rotate_homebase:
-        homes = vmt.randbelow(n)
-    else:
-        homes = np.zeros(count, dtype=np.int64)
-    vmt.getrandbits64()
-    delay_seeds = vmt.getrandbits64()
-    # the seeding state is dead from here: free it before the delay
-    # generator allocates its own
-    del vmt
-
-    cap_index = timeline.reachable_capture_index()
-    caught = cap_index >= 0
-    moves_at = timeline.cum_moves[cap_index] if caught else len(timeline.compiled)
-    cap_unit = timeline.unit_times[cap_index] if caught else -1
+    cap = np.array(caps, dtype=np.int64)
+    caught = cap >= 0
     units = len(timeline.unit_times)
-
-    if spec.delay == "random":
-        delay_vmt = VectorMT19937(delay_seeds)
-        stretches = delay_vmt.randint_matrix(spec.delay_low, spec.delay_high, units)
-        walls = np.cumsum(stretches, axis=1)
-        durations = walls[:, -1].tolist() if units else [0] * count
-        cap_walls = walls[:, cap_index].tolist() if caught else [-1] * count
-    else:
-        shared = _stretches(spec, units, random.Random(0))  # rng unused
-        wall_list, duration = _wall_times(shared, units)
-        durations = [duration] * count
-        cap_walls = [wall_list[cap_index]] * count if caught else [-1] * count
-
-    result.homebases.extend(int(h) for h in homes)
-    result.captured.extend([caught] * count)
-    result.capture_units.extend([cap_unit] * count)
-    result.capture_walls.extend(cap_walls)
-    result.duration_walls.extend(durations)
-    result.moves_to_capture.extend([moves_at] * count)
+    walls, durations = _walls(spec, words, cap, units)
+    # a trailing entry answers the index -1 of an uncaptured trial
+    unit_at = np.append(np.array(timeline.unit_times, dtype=np.int64), -1)
+    if moves_at is None:
+        cum_moves = np.append(np.array(timeline.cum_moves, dtype=np.int64), moves_total)
+        moves_at = cum_moves[cap].tolist()
+    result.homebases.extend(homes.tolist())
+    result.captured.extend(caught.tolist())
+    result.capture_units.extend(unit_at[cap].tolist())
+    result.capture_walls.extend(walls.tolist())
+    result.duration_walls.extend(durations.tolist())
+    result.moves_to_capture.extend(moves_at)
+    captures = int(caught.sum())
     stats.count("trials", count)
-    stats.count("captures" if caught else "escapes", count)
+    if captures:
+        stats.count("captures", captures)
+    if count - captures:
+        stats.count("escapes", count - captures)

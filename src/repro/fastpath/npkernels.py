@@ -1,11 +1,9 @@
-"""Bit-plane kernels: packed node planes and array-of-scenarios RNG.
+"""Bit-plane kernels: packed node planes and the chunk verifier.
 
-These are the package's one fast path.  The per-move reference replays
-stay beside them: :class:`~repro.fastpath.batchverify._ReplayState`
+These are the package's one fast path.  The per-move reference replay
+stays beside them: :class:`~repro.fastpath.batchverify._ReplayState`
 verifies cloning schedules, continues a block this module declines, and
-is what the parity tests compare the verifier against; the scalar trial
-loop of :mod:`repro.fastpath.batchsim` scores the ``inert`` and walker
-policies and is the reference for the vectorized ``reachable`` path.
+is what the parity tests compare the verifier against.
 
 Bit-plane kernels
 -----------------
@@ -38,17 +36,6 @@ construction: the kernel only ever settles behaviour the reference
 accepts silently, and it declines a malformed row in the same block the
 reference raises on it.
 
-Vectorized RNG
---------------
-:class:`VectorMT19937` is CPython's ``random.Random`` run as a
-structure-of-arrays: one Mersenne-Twister state row per scenario,
-seeded, twisted and tempered with the reference constants, so
-``getrandbits`` / ``randrange`` / ``randint`` columns across 10k trials
-reproduce 10k individual ``random.Random(seed)`` streams draw-for-draw
-(rejection sampling included).  This is what lets the Monte Carlo
-engine score every trial of a campaign simultaneously while keeping the
-documented per-trial draw order of :mod:`repro.fastpath.batchsim`.
-
 Layering: imports only ``repro.errors`` and ``numpy`` (rule RPR220).
 """
 
@@ -63,7 +50,6 @@ from repro.errors import ScheduleError
 __all__ = [
     "KernelFallback",
     "NPChunkVerifier",
-    "VectorMT19937",
     "check_backend",
     "mask_list_to_matrix",
     "matrix_to_mask_list",
@@ -223,414 +209,6 @@ def matrix_to_mask_list(matrix: Any) -> List[int]:
         int.from_bytes(blob[i * stride : (i + 1) * stride], "little")
         for i in range(rows)
     ]
-
-
-# --------------------------------------------------------------------- #
-# vectorized Mersenne Twister (CPython random.Random, row per scenario)
-# --------------------------------------------------------------------- #
-
-_MT_N = 624
-_MT_M = 397
-
-#: Cached ``init_genrand(19650218)`` words as uint32 scalars
-#: (seed-independent, so computed once per process).
-_MT_SEED_BASE: Optional[List[Any]] = None
-
-
-class VectorMT19937:
-    """CPython's ``random.Random`` as a structure-of-arrays.
-
-    One MT19937 state row per seed; :meth:`getrandbits32` /
-    :meth:`getrandbits64` / :meth:`randbelow` / :meth:`randint_matrix`
-    return one column of draws across all rows, consuming each row's
-    stream exactly as ``random.Random(seed)`` would — including the
-    per-row rejection loops of ``_randbelow_with_getrandbits``, which
-    advance different rows by different amounts (tracked by per-row
-    cursors).  Seeding replicates ``random_seed``: the key is the
-    little-endian 32-bit word expansion of ``abs(seed)`` (at least one
-    word), fed to ``init_by_array`` with the reference constants.
-    """
-
-    def __init__(self, seeds: Sequence[int]) -> None:
-        rows = len(seeds)
-        self.rows = rows
-        # word-major (624, rows) layout: the seeding recurrence and the
-        # twist walk word index sequentially, so each step touches one
-        # contiguous row instead of a strided column.  The tempered
-        # buffer grows on demand (`_grow_buf`): a short campaign reads
-        # ~20 words per row, and a full (624, rows) buffer would be
-        # 25 MB at 10k rows
-        self._state: Any = None
-        self._buf = np.empty((0, rows), dtype=np.uint32)
-        self._cursor = np.full(rows, _MT_N, dtype=np.int64)
-        self._rowidx = np.arange(rows)
-        # lockstep bookkeeping: while every row is in the same block
-        # phase the twist runs lazily and in place (`_fill_to`), only as
-        # far as the deepest cursor — a short campaign touches ~20 of
-        # the 624 words, so the other ~600 are never computed
-        self._synced = True
-        self._filled = 0
-        # fast path: campaign sub-seeds are `getrandbits(64)` outputs,
-        # whose one- or two-word little-endian keys extract vectorially
-        # (`np.array(..., uint64)` raises on negatives / >64-bit values)
-        np_seeds = None
-        if rows:
-            try:
-                np_seeds = np.array(seeds, dtype=np.uint64)
-            except (OverflowError, TypeError):
-                np_seeds = None
-        if np_seeds is not None:
-            lo = (np_seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-            hi = (np_seeds >> np.uint64(32)).astype(np.uint32)
-            short = np.nonzero(hi == 0)[0]
-            wide = np.nonzero(hi)[0]
-            if not len(short):
-                # homogeneous key widths adopt the seeded matrix as-is
-                # instead of scattering 25 MB through a fancy index
-                self._state = self._init_by_array(np.stack([lo, hi]))
-            elif not len(wide):
-                self._state = self._init_by_array(lo[None, :])
-            else:
-                self._state = np.empty((_MT_N, rows), dtype=np.uint32)
-                self._state[:, short] = self._init_by_array(lo[short][None, :])
-                self._state[:, wide] = self._init_by_array(
-                    np.stack([lo[wide], hi[wide]])
-                )
-            return
-        # generic path: group scenarios by key length so init_by_array
-        # vectorizes per group (arbitrary-precision / negative seeds)
-        self._state = np.empty((_MT_N, rows), dtype=np.uint32)
-        by_len: Dict[int, List[int]] = {}
-        keys: List[List[int]] = []
-        for row, seed in enumerate(seeds):
-            a = -seed if seed < 0 else seed
-            key = [
-                (a >> (32 * i)) & 0xFFFFFFFF
-                for i in range(max(1, (a.bit_length() + 31) // 32))
-            ]
-            keys.append(key)
-            by_len.setdefault(len(key), []).append(row)
-        for klen, group in by_len.items():
-            key_matrix = np.array([keys[r] for r in group], dtype=np.uint32).T
-            self._state[:, group] = self._init_by_array(key_matrix)
-
-    def _init_by_array(self, key: Any) -> Any:
-        """Reference ``init_by_array`` across a ``(klen, rows)`` key matrix."""
-        klen = key.shape[0]
-        rows = key.shape[1]
-        # init_genrand(19650218) is seed-independent: computed once per
-        # process (scalar Python ints: uint32 wraparound without
-        # overflow warnings) and kept as uint32 scalars — word i's
-        # pre-update value on the first wrap is base[i] for every row,
-        # so no (624, rows) broadcast copy is ever materialized
-        global _MT_SEED_BASE
-        if _MT_SEED_BASE is None:
-            base_words = [19650218]
-            for i in range(1, _MT_N):
-                prev = base_words[-1]
-                base_words.append(
-                    (1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF
-                )
-            _MT_SEED_BASE = [np.uint32(w) for w in base_words]
-        base = _MT_SEED_BASE
-        mt = np.empty((_MT_N, rows), dtype=np.uint32)
-        mt[0].fill(int(base[0]))
-        # the recurrences run ~2N sequential steps over `rows`-wide
-        # words: keep them allocation-free (one scratch row, `out=`
-        # everywhere), fold the per-step `key[j] + j` into a precomputed
-        # matrix, and hoist the row views and scalar constants out of
-        # the loop — per-step Python overhead is the dominant cost
-        tmp = np.empty(rows, dtype=np.uint32)
-        key_plus = key + np.arange(klen, dtype=np.uint32)[:, None]
-        kp = [key_plus[j] for j in range(klen)]
-        row_v = [mt[i] for i in range(_MT_N)]
-        i_u32 = [np.uint32(i) for i in range(_MT_N)]
-        mult1 = np.uint32(1664525)
-        mult2 = np.uint32(1566083941)
-        thirty = np.uint32(30)
-        steps = max(_MT_N, klen)
-        scalar_steps = min(steps, _MT_N - 1)
-        i, j = 1, 0
-        # words 1..623 are untouched before their first update, so the
-        # `^ mt[i]` term is the scalar base word, not an array read
-        for _ in range(scalar_steps):
-            prev = row_v[i - 1]
-            np.right_shift(prev, thirty, out=tmp)
-            np.bitwise_xor(prev, tmp, out=tmp)
-            np.multiply(tmp, mult1, out=tmp)
-            np.bitwise_xor(tmp, base[i], out=tmp)
-            np.add(tmp, kp[j], out=row_v[i])
-            i += 1
-            j += 1
-            if j >= klen:
-                j = 0
-        for _ in range(steps - scalar_steps):
-            if i >= _MT_N:
-                np.copyto(row_v[0], row_v[_MT_N - 1])
-                i = 1
-            prev = row_v[i - 1]
-            cur = row_v[i]
-            np.right_shift(prev, thirty, out=tmp)
-            np.bitwise_xor(prev, tmp, out=tmp)
-            np.multiply(tmp, mult1, out=tmp)
-            np.bitwise_xor(cur, tmp, out=tmp)
-            np.add(tmp, kp[j], out=cur)
-            i += 1
-            j += 1
-            if j >= klen:
-                j = 0
-        if i >= _MT_N:
-            np.copyto(row_v[0], row_v[_MT_N - 1])
-            i = 1
-        for _ in range(_MT_N - 1):
-            prev = row_v[i - 1]
-            cur = row_v[i]
-            np.right_shift(prev, thirty, out=tmp)
-            np.bitwise_xor(prev, tmp, out=tmp)
-            np.multiply(tmp, mult2, out=tmp)
-            np.bitwise_xor(cur, tmp, out=tmp)
-            np.subtract(tmp, i_u32[i], out=cur)
-            i += 1
-            if i >= _MT_N:
-                np.copyto(row_v[0], row_v[_MT_N - 1])
-                i = 1
-        mt[0] = np.uint32(0x80000000)
-        return mt
-
-    def _fill_to(self, upto: int) -> None:
-        """Advance the lockstep in-place twist through word ``upto``.
-
-        Valid only while every row shares the same block phase
-        (``_synced``).  Words are produced in index order, which makes
-        the reference recurrence safe fully in place: ``y_k`` reads the
-        still-old ``s[k]``/``s[k+1]``, words below ``N-M`` read the
-        still-old tail ``s[k+M]``, later words read the already-new
-        ``s[k-(N-M)]`` in sub-chunks of at most ``N-M``, and word 623
-        reads the new ``s[0]``/``s[M-1]`` plus its own old value.
-        """
-        a = self._filled
-        b = min(upto, _MT_N)
-        if b <= a:
-            return
-        s = self._state
-        upper, lower = np.uint32(0x80000000), np.uint32(0x7FFFFFFF)
-        bb = min(b, _MT_N - 1)
-        if bb > a:
-            y = (s[a:bb] & upper) | (s[a + 1 : bb + 1] & lower)
-            v = (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * np.uint32(0x9908B0DF))
-            lo, hi = a, min(bb, _MT_N - _MT_M)
-            if hi > lo:
-                s[lo:hi] = s[lo + _MT_M : hi + _MT_M] ^ v[lo - a : hi - a]
-            lo = max(a, _MT_N - _MT_M)
-            while lo < bb:
-                hi = min(bb, lo + (_MT_N - _MT_M))
-                s[lo:hi] = (
-                    s[lo - (_MT_N - _MT_M) : hi - (_MT_N - _MT_M)]
-                    ^ v[lo - a : hi - a]
-                )
-                lo = hi
-        if b == _MT_N:
-            y_last = (s[_MT_N - 1] & upper) | (s[0] & lower)
-            s[_MT_N - 1] = (
-                s[_MT_M - 1]
-                ^ (y_last >> np.uint32(1))
-                ^ ((y_last & np.uint32(1)) * np.uint32(0x9908B0DF))
-            )
-        t = s[a:b].copy()
-        t ^= t >> np.uint32(11)
-        t ^= (t << np.uint32(7)) & np.uint32(0x9D2C5680)
-        t ^= (t << np.uint32(15)) & np.uint32(0xEFC60000)
-        t ^= t >> np.uint32(18)
-        self._grow_buf(b)
-        self._buf[a:b] = t
-        self._filled = b
-
-    def _grow_buf(self, words: int) -> None:
-        """Make the tempered buffer hold at least ``words`` words per row
-        (doubling, capped at one block; filled words are kept)."""
-        have = self._buf.shape[0]
-        if words <= have:
-            return
-        grown = np.empty((min(max(words, 2 * have), _MT_N), self.rows), dtype=np.uint32)
-        grown[:have] = self._buf
-        self._buf = grown
-
-    def _twist_rows(self, rows: Any) -> None:
-        """Regenerate + temper the block for the given scenario columns.
-
-        The per-row slow path once streams have diverged across a block
-        boundary; the lockstep fast path is :meth:`_fill_to`.
-        """
-        s = self._state[:, rows]
-        old = s.copy()
-        upper, lower = np.uint32(0x80000000), np.uint32(0x7FFFFFFF)
-        nxt = np.concatenate([old[1:], old[:1]], axis=0)
-        y = (old & upper) | (nxt & lower)
-        v = (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * np.uint32(0x9908B0DF))
-        # reference order: mt[k] = mt[k+M] ^ tw(...) reads already-updated
-        # words once k+M wraps, so the tail fills in M-sized stages
-        s[: _MT_N - _MT_M] = old[_MT_M:] ^ v[: _MT_N - _MT_M]
-        s[_MT_N - _MT_M : 2 * (_MT_N - _MT_M)] = (
-            s[: _MT_N - _MT_M] ^ v[_MT_N - _MT_M : 2 * (_MT_N - _MT_M)]
-        )
-        s[2 * (_MT_N - _MT_M) : _MT_N - 1] = (
-            s[_MT_N - _MT_M : _MT_N - 1 - (_MT_N - _MT_M)]
-            ^ v[2 * (_MT_N - _MT_M) : _MT_N - 1]
-        )
-        y_last = (old[_MT_N - 1] & upper) | (s[0] & lower)
-        s[_MT_N - 1] = (
-            s[_MT_M - 1]
-            ^ (y_last >> np.uint32(1))
-            ^ ((y_last & np.uint32(1)) * np.uint32(0x9908B0DF))
-        )
-        t = s.copy()
-        t ^= t >> np.uint32(11)
-        t ^= (t << np.uint32(7)) & np.uint32(0x9D2C5680)
-        t ^= (t << np.uint32(15)) & np.uint32(0xEFC60000)
-        t ^= t >> np.uint32(18)
-        self._state[:, rows] = s
-        self._grow_buf(_MT_N)
-        self._buf[:, rows] = t
-        self._cursor[rows] = 0
-
-    def _next_word(self, active: Optional[Any] = None) -> Any:
-        """The next tempered word of every (active) scenario's stream.
-
-        A scenario whose buffer is exhausted is re-twisted whether or not
-        it is active this draw — an exhausted buffer has no unread words,
-        so twisting early is stream-neutral.  While every row stays in
-        the same block phase the twist is materialized lazily in place
-        (:meth:`_fill_to`), only as deep as the furthest cursor; rows
-        that cross a block boundary out of lockstep fall back to per-row
-        twists for the rest of the run.
-        """
-        cur = self._cursor
-        if self._synced:
-            stale = cur >= _MT_N
-            if bool(stale.all()):
-                # lockstep roll: a row only reaches 624 by reading word
-                # 623, so the block is already fully filled (or, at
-                # seeding time, untouched) — restart the lazy fill
-                if self._filled:
-                    self._fill_to(_MT_N)
-                    self._filled = 0
-                cur[:] = 0
-            elif bool(stale.any()):
-                # rows crossed the boundary at different draws: the
-                # lockstep fill no longer describes every row — pin the
-                # full state, then twist per row from here on
-                self._fill_to(_MT_N)
-                self._synced = False
-                self._twist_rows(np.nonzero(stale)[0])
-            if self._synced:
-                scope = cur if active is None else cur[active]
-                needed = int(scope.max()) + 1
-                if needed > self._filled:
-                    grown = min(2 * max(self._filled, 32), _MT_N)
-                    self._fill_to(max(needed, grown))
-        else:
-            stale = cur >= _MT_N
-            if bool(stale.any()):
-                self._twist_rows(np.nonzero(stale)[0])
-        # rows left out of a partial draw may sit past the filled words;
-        # clamp them into the buffer (their words are discarded)
-        gather = np.minimum(cur, self._buf.shape[0] - 1)
-        words = self._buf[gather, self._rowidx]
-        if active is None:
-            cur += 1
-        else:
-            cur[active] += 1
-        return words
-
-    def getrandbits32(self) -> Any:
-        """One ``getrandbits(32)`` column (uint32 per row)."""
-        return self._next_word()
-
-    def getrandbits64(self) -> Any:
-        """One ``getrandbits(64)`` column (low word drawn first)."""
-        lo = self._next_word().astype(np.uint64)
-        hi = self._next_word().astype(np.uint64)
-        return lo | (hi << np.uint64(32))
-
-    def _roll_if_lockstep(self) -> None:
-        """Start the next block when every row exhausted the current one."""
-        if self._synced and bool((self._cursor >= _MT_N).all()):
-            if self._filled:
-                self._fill_to(_MT_N)
-                self._filled = 0
-            self._cursor[:] = 0
-
-    def randbelow_matrix(self, width: int, count: int) -> Any:
-        """``count`` sequential ``_randbelow_with_getrandbits(width)``
-        draws per row, as an ``(rows, count)`` int64 matrix.
-
-        ``k = width.bit_length()`` top bits per draw, per-row rejection
-        while the candidate is ``>= width`` — rejected rows consume
-        extra words exactly like their scalar twins.  In lockstep the
-        whole matrix resolves by block rejection sampling: a window of
-        words per row, acceptance ranks by cumulative sum, one scatter —
-        a handful of array ops instead of a word-at-a-time loop whose
-        late rounds wait on a shrinking tail of unlucky rows.
-        """
-        if width <= 0:
-            raise ScheduleError("randbelow needs a positive width")
-        out = np.empty((self.rows, count), dtype=np.int64)
-        if count == 0 or self.rows == 0:
-            return out
-        kshift = np.uint32(32 - width.bit_length())
-        done = np.zeros(self.rows, dtype=np.int64)
-        cur = self._cursor
-        while self._synced:
-            pending = done < count
-            if not bool(pending.any()):
-                return out
-            self._roll_if_lockstep()
-            maxcur = int(cur.max())
-            remaining = count - done
-            window = min(2 * int(remaining.max()) + 8, _MT_N - maxcur)
-            if window <= 0:
-                break  # rows straddle the block edge: word-at-a-time
-            self._fill_to(maxcur + window)
-            if int(cur.min()) == maxcur:
-                words = self._buf[maxcur : maxcur + window]
-            else:
-                words = self._buf[
-                    cur[None, :] + np.arange(window)[:, None], self._rowidx
-                ]
-            cand = (words >> kshift).astype(np.int64)
-            acc = cand < width
-            rank = np.cumsum(acc, axis=0)
-            take = np.minimum(rank[-1], remaining)
-            keep = acc & (rank <= take[None, :])
-            rpos, wpos = np.nonzero(keep.T)
-            out[rpos, done[rpos] + rank[wpos, rpos] - 1] = cand[wpos, rpos]
-            # a satisfied row stops at its last acceptance; a row still
-            # short (every candidate rejected the whole window) scanned
-            # all of it; untouched rows scanned nothing
-            lastpos = np.argmax(rank >= np.maximum(take, 1)[None, :], axis=0)
-            consumed = np.where(take == remaining, lastpos + 1, window)
-            np.add(cur, np.where(pending, consumed, 0), out=cur)
-            done += take
-        # diverged across a block boundary (or mid-roll): finish with
-        # the per-word path, which twists stragglers row by row
-        while True:
-            pending = done < count
-            if not bool(pending.any()):
-                return out
-            words = self._next_word(pending)
-            cand = (words >> kshift).astype(np.int64)
-            ok = pending & (cand < width)
-            out[np.nonzero(ok)[0], done[ok]] = cand[ok]
-            done[ok] += 1
-
-    def randbelow(self, width: int) -> Any:
-        """One ``_randbelow_with_getrandbits(width)`` column (int64 per row)."""
-        return self.randbelow_matrix(width, 1)[:, 0]
-
-    def randint_matrix(self, low: int, high: int, count: int) -> Any:
-        """``count`` sequential ``randint(low, high)`` draws per row,
-        as an ``(rows, count)`` int64 matrix."""
-        return low + self.randbelow_matrix(high - low + 1, count)
 
 
 # --------------------------------------------------------------------- #
