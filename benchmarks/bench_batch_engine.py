@@ -27,7 +27,8 @@ Run ``python benchmarks/bench_batch_engine.py`` to measure and write
 ``BENCH_batch_engine.json`` at the repo root.  Set
 ``BATCH_ENGINE_SMOKE=1`` for the CI smoke mode (d=5 for both campaigns,
 few trials, no timing floor — shared runners jitter; the full mode
-asserts the batch path is >= 50x the scalar baseline).
+asserts the batch path is >= 50x the scalar baseline), which writes the
+git-ignored ``BENCH_batch_engine.smoke.json`` instead.
 """
 
 import json
@@ -36,9 +37,12 @@ import random
 import time
 from pathlib import Path
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch_engine.json"
 
 SMOKE = bool(os.environ.get("BATCH_ENGINE_SMOKE"))
+#: a smoke run writes a git-ignored sibling, never the committed full-mode result
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_batch_engine.smoke.json" if SMOKE else "BENCH_batch_engine.json"
+)
 
 STRATEGY = "visibility"
 DIMENSION = 5 if SMOKE else 10

@@ -14,7 +14,7 @@ Run ``python benchmarks/bench_lint.py`` to measure and write
 ``BENCH_lint.json`` at the repo root.  Set ``LINT_BENCH_SMOKE=1`` for
 the CI smoke mode (single repeat, no timing floor — shared runners
 jitter too much for hard perf gates; the full mode asserts warm >= 2x
-cold).
+cold), which writes the git-ignored ``BENCH_lint.smoke.json`` instead.
 """
 
 import json
@@ -23,9 +23,12 @@ import tempfile
 import time
 from pathlib import Path
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_lint.json"
 
 SMOKE = bool(os.environ.get("LINT_BENCH_SMOKE"))
+#: a smoke run writes a git-ignored sibling, never the committed full-mode result
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_lint.smoke.json" if SMOKE else "BENCH_lint.json"
+)
 
 REPEATS = 1 if SMOKE else 3
 

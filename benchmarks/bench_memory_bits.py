@@ -2,16 +2,16 @@
 
 "O(log n) bits suffice for all our algorithms" — for both the whiteboards
 and the agents' local memory.  The bench runs the real protocols with
-bit-accounted whiteboards across growing dimensions (n = 8..512 for
-visibility, 8..256 for CLEAN) and checks the peak usage grows additively
+bit-accounted whiteboards across growing dimensions (n = 8..4096 for
+visibility, 8..2048 for CLEAN) and checks the peak usage grows additively
 (counter widths), not multiplicatively, with n.
 """
 
 from repro.protocols.clean_protocol import run_clean_protocol
 from repro.protocols.visibility_protocol import run_visibility_protocol
 
-VISIBILITY_DIMS = tuple(range(3, 10))
-CLEAN_DIMS = tuple(range(3, 9))  # clean is heavier to simulate
+VISIBILITY_DIMS = tuple(range(3, 13))
+CLEAN_DIMS = tuple(range(3, 12))  # clean is heavier to simulate
 
 
 def measure_peaks():

@@ -18,7 +18,8 @@ stay within 1% of the loop) versus enabled (spans recorded).
 
 Run ``python benchmarks/bench_obs_overhead.py`` to sweep and write
 ``BENCH_obs_overhead.json`` at the repo root.  Set ``OBS_BENCH_SMOKE=1``
-for the CI smoke mode (small dimension, single repeat).
+for the CI smoke mode (small dimension, single repeat), which writes the
+git-ignored ``BENCH_obs_overhead.smoke.json`` instead.
 """
 
 import json
@@ -28,9 +29,12 @@ from pathlib import Path
 
 from repro.protocols.visibility_protocol import run_visibility_protocol
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs_overhead.json"
 
 SMOKE = bool(os.environ.get("OBS_BENCH_SMOKE"))
+#: a smoke run writes a git-ignored sibling, never the committed full-mode result
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_obs_overhead.smoke.json" if SMOKE else "BENCH_obs_overhead.json"
+)
 
 
 def _noop(event) -> None:

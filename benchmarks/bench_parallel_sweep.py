@@ -22,7 +22,8 @@ changed the numbers would be measuring a bug.
 Run ``python benchmarks/bench_parallel_sweep.py`` to measure and write
 ``BENCH_parallel_sweep.json`` at the repo root.  Set
 ``PARALLEL_SWEEP_SMOKE=1`` for the CI smoke mode (small grid, single
-repeat).
+repeat), which writes the git-ignored ``BENCH_parallel_sweep.smoke.json``
+instead.
 """
 
 import json
@@ -30,9 +31,12 @@ import os
 import time
 from pathlib import Path
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel_sweep.json"
 
 SMOKE = bool(os.environ.get("PARALLEL_SWEEP_SMOKE"))
+#: a smoke run writes a git-ignored sibling, never the committed full-mode result
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_parallel_sweep.smoke.json" if SMOKE else "BENCH_parallel_sweep.json"
+)
 JOBS = int(os.environ.get("PARALLEL_SWEEP_JOBS", "4"))
 
 STRATEGIES = ["clean", "visibility", "cloning"]

@@ -18,7 +18,8 @@ Run ``python benchmarks/bench_schedule_cache.py`` to measure and write
 ``BENCH_schedule_cache.json`` at the repo root.  Set
 ``SCHEDULE_CACHE_SMOKE=1`` for the CI smoke mode (small grid, no timing
 thresholds — shared runners jitter too much for hard perf gates there;
-the full mode asserts warm >= 5x cold and batch >= 10x classic).
+the full mode asserts warm >= 5x cold and batch >= 10x classic), which
+writes the git-ignored ``BENCH_schedule_cache.smoke.json`` instead.
 """
 
 import json
@@ -27,9 +28,12 @@ import tempfile
 import time
 from pathlib import Path
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_schedule_cache.json"
 
 SMOKE = bool(os.environ.get("SCHEDULE_CACHE_SMOKE"))
+#: a smoke run writes a git-ignored sibling, never the committed full-mode result
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_schedule_cache.smoke.json" if SMOKE else "BENCH_schedule_cache.json"
+)
 
 STRATEGIES = ["clean", "visibility", "cloning"]
 DIMENSIONS = [4, 5] if SMOKE else [8, 10, 12]

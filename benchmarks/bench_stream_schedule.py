@@ -21,7 +21,8 @@ Run ``python benchmarks/bench_stream_schedule.py`` to measure and write
 ``BENCH_stream_schedule.json`` at the repo root.  Set
 ``STREAM_SCHEDULE_SMOKE=1`` for the CI smoke mode (small dimensions, no
 timing thresholds — shared runners jitter too much for hard perf gates
-there; the full mode asserts the memory ratio and warm speedup floors).
+there; the full mode asserts the memory ratio and warm speedup floors),
+which writes the git-ignored ``BENCH_stream_schedule.smoke.json`` instead.
 """
 
 import json
@@ -32,9 +33,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_stream_schedule.json"
 
 SMOKE = bool(os.environ.get("STREAM_SCHEDULE_SMOKE"))
+#: a smoke run writes a git-ignored sibling, never the committed full-mode result
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_stream_schedule.smoke.json" if SMOKE else "BENCH_stream_schedule.json"
+)
 
 STREAM_STRATEGY = "clean"
 STREAM_DIMENSION = 8 if SMOKE else 18

@@ -314,14 +314,14 @@ def replay_order(compiled: CompiledSchedule) -> List[int]:
     The scripted replay (:mod:`repro.sim.replay`) turns each agent's
     move list into ``WaitUntil(time >= t-1)`` + ``Move`` pairs on the
     event queue, and the engine's queue discipline — FIFO among equal
-    times, wake tokens superseding stale wake events, blocked agents
-    re-pushed in agent-id order after every processed event — fixes an
-    intra-unit completion order that is *not* the column order.  The
-    walker policies consume one RNG draw per completed move, so scoring
-    them against the wrong order would desynchronize every draw; this
-    mini-scheduler reproduces the engine's discipline exactly (tested
-    move-for-move against ``Engine.run`` across strategies and
-    dimensions).
+    times, wake tokens superseding stale timer events, one wake per
+    false→true transition, pushed in agent-id order after the event that
+    made the predicate hold — fixes an intra-unit completion order that
+    is *not* the column order.  The walker policies consume one RNG draw
+    per completed move, so scoring them against the wrong order would
+    desynchronize every draw; this mini-scheduler reproduces the engine's
+    discipline exactly (tested move-for-move against ``Engine.run``
+    across strategies and dimensions).
 
     Cloning schedules spawn agents via ``CloneSelf`` at times that
     depend on the parent's script, which this model does not cover —
@@ -345,7 +345,7 @@ def replay_order(compiled: CompiledSchedule) -> List[int]:
     k = len(ids)
 
     idx = [0] * k
-    status = ["ready"] * k  # ready | inflight | blocked | done
+    status = ["ready"] * k  # ready | inflight | blocked | woken | done
     token = [0] * k
     heap: List[Tuple[float, int, int, int]] = []
     seq = 0
@@ -388,16 +388,20 @@ def replay_order(compiled: CompiledSchedule) -> List[int]:
         now = max(now, t)
         if tok != token[a] or status[a] == "done":
             continue
-        if status[a] == "blocked" and now < times[moves[a][idx[a]]] - 1:
-            continue  # predicate still false: engine leaves it blocked
-        if status[a] == "blocked":
+        if status[a] in ("blocked", "woken"):
+            # Engine._wake_up: the wake-up (or timer) re-checks the predicate
+            if now < times[moves[a][idx[a]]] - 1:
+                status[a] = "blocked"
+                continue
             status[a] = "ready"
         resume(a)
-        # Engine._wake_blocked: after every processed event, every
-        # blocked agent whose predicate now holds is re-pushed at the
-        # current time (agent insertion order), superseding older wakes
+        # Engine._wake_blocked: after a processed event, every blocked
+        # agent whose predicate has turned true is pushed once at the
+        # current time (agent id order); a woken agent is not pushed
+        # again before its wake-up runs
         for b in range(k):
             if status[b] == "blocked" and now >= times[moves[b][idx[b]]] - 1:
+                status[b] = "woken"
                 push(now, b)
     if len(order) != len(times):
         raise SimulationError(

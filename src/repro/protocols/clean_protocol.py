@@ -47,6 +47,7 @@ from repro.protocols.base import (
 from repro.sim.agent import (
     AgentContext,
     Move,
+    NodeView,
     Terminate,
     UpdateWhiteboard,
     WaitUntil,
@@ -104,6 +105,25 @@ def _take_release(wb: Dict) -> bool:
         wb["release"] = False
         return True
     return False
+
+
+# ---------------------------------------------------------------------- #
+# follower waits
+# ---------------------------------------------------------------------- #
+#
+# Module-level functions, so every follower waiting at one node yields the
+# same predicate object and the engine evaluates their wait once.
+
+
+def _dispatch_or_done(view: NodeView) -> bool:
+    """An idle follower's wait at the root: a dispatch order is posted, or
+    the protocol is done."""
+    return bool(view.wb("done")) or (view.wb("order_remaining") or 0) > 0
+
+
+def _advance_or_release(view: NodeView) -> bool:
+    """A guard's wait: an advance order or the release is posted here."""
+    return view.wb("advance_to") is not None or bool(view.wb("release"))
 
 
 # ---------------------------------------------------------------------- #
@@ -212,11 +232,7 @@ def follower_agent(ctx: AgentContext):
     yield UpdateWhiteboard(increment("idle"))
     while True:
         # parked at the root: wait for a dispatch order or the end
-        yield WaitUntil(
-            lambda view: bool(view.wb("done"))
-            or (view.wb("order_remaining") or 0) > 0,
-            description="dispatch order or done",
-        )
+        yield WaitUntil(_dispatch_or_done, description="dispatch order or done")
         order = yield UpdateWhiteboard(_take_dispatch)
         if order is None:
             done = yield UpdateWhiteboard(lambda wb: bool(wb.get("done")))
@@ -234,9 +250,7 @@ def follower_agent(ctx: AgentContext):
         guarding = True
         while guarding:
             yield WaitUntil(
-                lambda view: view.wb("advance_to") is not None
-                or bool(view.wb("release")),
-                description=f"advance or release at {ctx.node}",
+                _advance_or_release, description=f"advance or release at {ctx.node}"
             )
             child = yield UpdateWhiteboard(_take_advance)
             if child is not None:

@@ -22,7 +22,8 @@ and check monotonicity, capture, and the exact Theorem 5/7/8 counts.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import lru_cache
+from typing import Callable, List, Optional
 
 from repro.analysis.formulas import agents_for_type, visibility_agents
 from repro.errors import SimulationError
@@ -35,7 +36,14 @@ from repro.protocols.base import (
     smaller_all_safe,
     take_slot,
 )
-from repro.sim.agent import AgentContext, Move, Terminate, UpdateWhiteboard, WaitUntil
+from repro.sim.agent import (
+    AgentContext,
+    Move,
+    NodeView,
+    Terminate,
+    UpdateWhiteboard,
+    WaitUntil,
+)
 from repro.sim.engine import Engine, SimResult
 from repro.sim.scheduling import DelayModel
 from repro.topology.hypercube import Hypercube
@@ -44,6 +52,21 @@ __all__ = ["MODEL", "visibility_agent", "run_visibility_protocol"]
 
 #: Section 4 model: whiteboards plus neighbour visibility.
 MODEL = ProtocolModel(visibility=True)
+
+
+@lru_cache(maxsize=None)
+def _squad_ready(dimension: int, node: int, needed: int) -> Callable[[NodeView], bool]:
+    """The squad's wait predicate at ``node``: one function object per
+    ``(dimension, node, needed)``, so the squad shares one wait group on
+    the engine and the whole squad costs one evaluation per event."""
+    safe = smaller_all_safe(dimension, node)
+
+    def ready(view: NodeView) -> bool:
+        if (view.wb("taken") or 0) > 0:
+            return True  # squad already broke camp; follow it
+        return bool(view.wb("count") == needed and safe(view))
+
+    return ready
 
 
 def visibility_agent(ctx: AgentContext):
@@ -58,14 +81,10 @@ def visibility_agent(ctx: AgentContext):
             yield Terminate()
             return
         needed = agents_for_type(k)
-        safe = smaller_all_safe(ctx.dimension, node)
-
-        def ready(view, needed=needed, safe=safe) -> bool:
-            if (view.wb("taken") or 0) > 0:
-                return True  # squad already broke camp; follow it
-            return view.wb("count") == needed and safe(view)
-
-        yield WaitUntil(ready, description=f"squad of {needed} at {node}")
+        yield WaitUntil(
+            _squad_ready(ctx.dimension, node, needed),
+            description=f"squad of {needed} at {node}",
+        )
         slot = yield UpdateWhiteboard(take_slot(needed))
         if slot is None:
             raise SimulationError(

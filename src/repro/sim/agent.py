@@ -95,9 +95,13 @@ class WaitUntil(Action):
     the view (the whiteboard, the neighbour states, the time).  The engine
     files a blocked agent under what its predicate read and re-evaluates
     it only after an event changes one of those reads, so a predicate that
-    consults anything else may never be re-run.  For purely time-based
-    waits (the synchronous model) set ``wake_at`` so the engine schedules
-    a timer even when no other event would advance the clock.
+    consults anything else may never be re-run.  Agents that yield the
+    same predicate object at one node share its evaluation: the engine
+    evaluates it once for all of them and wakes them together, so a squad
+    waiting for one condition should yield one shared function rather
+    than a closure per agent.  For purely time-based waits (the
+    synchronous model) set ``wake_at`` so the engine schedules a timer
+    even when no other event would advance the clock.
     """
 
     predicate: Callable[["NodeView"], bool]

@@ -24,19 +24,25 @@ power than their model grants.
 Waking blocked agents
 ---------------------
 A blocked agent waits on a :class:`~repro.sim.agent.WaitUntil` predicate
-over its :class:`~repro.sim.agent.NodeView`.  Every evaluation records
-what the predicate read through the view — its node's whiteboard, its
-neighbours' states, the clock — and the agent is filed under those
-reads.  After an event the engine re-evaluates only the agents whose
+over its :class:`~repro.sim.agent.NodeView`.  The blocked agents at one
+node that yielded the same predicate object form a *wait group*, which
+is evaluated once for all of them.  Every evaluation records what the
+predicate read through the view — its node's whiteboard, its
+neighbours' states, the clock — and the group is filed under those
+reads.  After an event the engine re-evaluates only the groups whose
 reads the event touched: a board written or updated on their node, a
 neighbour whose state flipped (recontamination floods included), a clock
 advance.  A predicate that read nothing is never re-run.  So a predicate
 must depend only on what it reads through the view.
 
-The wake records are those of a full scan: after every event that
-reaches the wake pass, each blocked agent whose predicate holds is
-logged as ``wake``, published, and rescheduled (a token bump), in agent
-id order — again after each later event, until its wake-up runs.
+Each false→true transition wakes once.  When a group's predicate holds,
+every member is logged as ``wake``, published and rescheduled (a token
+bump) in agent id order — the members of all groups that hold after one
+event merged into one id order — and the group leaves the wake index.
+A woken agent is not evaluated again until its wake-up runs.  There it
+re-checks its own predicate under mutual exclusion: it resumes if the
+predicate still holds, and otherwise joins its node's group for that
+predicate again, to be woken by the next transition.
 
 Instrumentation
 ---------------
@@ -55,8 +61,9 @@ topology, capability model, delay model, git revision).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro._bitops import iter_set_bits
 from repro.errors import AgentError, SimulationError
@@ -158,12 +165,11 @@ class _AgentRecord:
     ``token`` is the scheduling generation: every event pushed for this
     agent carries the token current at push time, and the engine drops
     events whose token has been superseded (stale wake-ups must not fire
-    once the agent has moved on — literally).  ``reads`` holds the read
-    flags of the agent's last predicate evaluation, under which a blocked
-    agent is filed in the wake index.
+    once the agent has moved on — literally).  ``group`` is the wait
+    group a blocked agent is filed in, ``None`` while its wake is live.
     """
 
-    __slots__ = ("ctx", "generator", "status", "pending", "wait", "token", "reads")
+    __slots__ = ("ctx", "generator", "status", "pending", "wait", "token", "group")
 
     def __init__(self, ctx: AgentContext, generator) -> None:
         self.ctx = ctx
@@ -172,7 +178,25 @@ class _AgentRecord:
         self.pending: Optional[Callable[[float], Any]] = None
         self.wait: Optional[WaitUntil] = None
         self.token = 0
-        self.reads = 0
+        self.group: Optional[_WaitGroup] = None
+
+
+class _WaitGroup:
+    """The blocked agents at one node that yielded one predicate object.
+
+    The group is evaluated once for all its members and filed in the wake
+    index under that evaluation's read flags, ``reads``.  ``members`` are
+    agent ids in increasing order.  The group holds its predicate, so the
+    predicate's ``id`` in the group's key stays unique while it is filed.
+    """
+
+    __slots__ = ("node", "predicate", "members", "reads")
+
+    def __init__(self, node: int, predicate: Callable[[NodeView], Any], reads: int) -> None:
+        self.node = node
+        self.predicate = predicate
+        self.members: List[int] = []
+        self.reads = reads
 
 
 class _ReadProbe:
@@ -288,13 +312,14 @@ class Engine:
         self._contiguous_ok = True
         self._was_contiguous = True  # previous per-move verdict (bus edge detect)
 
-        # the wake index: blocked agents filed under what their predicate
-        # last read (see _wake_blocked)
-        self._board_waiters: Dict[int, Set[int]] = {}  # node -> agents
-        self._sight_waiters: Dict[int, Set[int]] = {}  # node -> agents
-        self._clock_waiters: Set[int] = set()
-        self._dirty: Set[int] = set()  # reads touched since last evaluated
-        self._holding: Set[int] = set()  # predicate held at last evaluation
+        # the wake index: wait groups, keyed by (node, id(predicate)) and
+        # filed under what their predicate last read (see _wake_blocked);
+        # the dicts are insertion-ordered sets of groups
+        self._groups: Dict[Tuple[int, int], _WaitGroup] = {}
+        self._board_waiters: Dict[int, Dict[_WaitGroup, None]] = {}  # node -> groups
+        self._sight_waiters: Dict[int, Dict[_WaitGroup, None]] = {}  # node -> groups
+        self._clock_waiters: Dict[_WaitGroup, None] = {}
+        self._dirty: Dict[_WaitGroup, None] = {}  # reads touched since last evaluated
 
         # the bus's subscriber list is aliased so every emission site pays
         # exactly one truthiness test when nobody is listening
@@ -392,59 +417,76 @@ class Engine:
     def _neighbor_states(self, node: int) -> Dict[int, Any]:
         return {y: self._cmap.state(y) for y in self._topo.neighbors(node)}
 
-    def _evaluate(self, record: _AgentRecord, predicate: Callable[[NodeView], Any]) -> bool:
-        """Evaluate a wait predicate of ``record``; its read flags land in
-        ``record.reads``."""
-        probe = _ReadProbe(self, record.ctx.node)
+    def _evaluate(self, node: int, predicate: Callable[[NodeView], Any]) -> Tuple[bool, int]:
+        """Evaluate a wait predicate at ``node``; returns whether it holds
+        and the read flags of the evaluation."""
+        probe = _ReadProbe(self, node)
         view = NodeView(
-            node=probe.node,
+            node=node,
             _wb_read=probe.wb,
             _see=probe.see if self._visibility else None,
             _clock=probe.clock if self._global_clock else None,
         )
-        holds = bool(predicate(view))
-        record.reads = probe.flags
-        return holds
+        return bool(predicate(view)), probe.flags
 
     # ------------------------------------------------------------------ #
     # the wake index
     # ------------------------------------------------------------------ #
 
-    def _file(self, record: _AgentRecord, holds: bool) -> None:
-        """File a blocked agent under its last evaluation's reads."""
-        agent_id = record.ctx.agent_id
-        reads = record.reads
-        if reads & _BOARD:
-            self._board_waiters.setdefault(record.ctx.node, set()).add(agent_id)
-        if reads & _SIGHT:
-            self._sight_waiters.setdefault(record.ctx.node, set()).add(agent_id)
-        if reads & _CLOCK:
-            self._clock_waiters.add(agent_id)
-        if holds:
-            self._holding.add(agent_id)
+    def _join(
+        self, record: _AgentRecord, predicate: Callable[[NodeView], Any], reads: int
+    ) -> None:
+        """File a blocked agent, whose ``predicate`` is false, in the wait
+        group of its node and that predicate object.
 
-    def _unfile(self, record: _AgentRecord) -> None:
-        """Remove an agent from the wake index."""
-        agent_id = record.ctx.agent_id
-        reads = record.reads
+        A new group is filed under ``reads``, the reads of the agent's own
+        evaluation.  An existing group keeps its reads: the group is either
+        queued for re-evaluation or untouched since its last evaluation,
+        which then read what the agent's evaluation just read.
+        """
+        node = record.ctx.node
+        key = (node, id(predicate))
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = _WaitGroup(node, predicate, reads)
+            self._file(group)
+        insort(group.members, record.ctx.agent_id)
+        record.group = group
+
+    def _dissolve(self, group: _WaitGroup) -> None:
+        """Remove a group from the wake index."""
+        self._unfile(group)
+        del self._groups[(group.node, id(group.predicate))]
+
+    def _file(self, group: _WaitGroup) -> None:
+        """File a group under its reads."""
+        reads = group.reads
+        if reads & _BOARD:
+            self._board_waiters.setdefault(group.node, {})[group] = None
+        if reads & _SIGHT:
+            self._sight_waiters.setdefault(group.node, {})[group] = None
+        if reads & _CLOCK:
+            self._clock_waiters[group] = None
+
+    def _unfile(self, group: _WaitGroup) -> None:
+        """Undo :meth:`_file`."""
+        reads = group.reads
         for flag, waiters in ((_BOARD, self._board_waiters), (_SIGHT, self._sight_waiters)):
             if reads & flag:
-                filed = waiters[record.ctx.node]
-                filed.discard(agent_id)
+                filed = waiters[group.node]
+                del filed[group]
                 if not filed:
-                    del waiters[record.ctx.node]
+                    del waiters[group.node]
         if reads & _CLOCK:
-            self._clock_waiters.discard(agent_id)
-        self._holding.discard(agent_id)
-        self._dirty.discard(agent_id)
+            del self._clock_waiters[group]
 
     def _touch_board(self, node: int) -> None:
-        waiters = self._board_waiters.get(node)
-        if waiters:
-            self._dirty |= waiters
+        groups = self._board_waiters.get(node)
+        if groups:
+            self._dirty.update(groups)
 
     def _touch_states(self, guard_before: int, clean_before: int) -> None:
-        """Dirty the sight waiters next to every node whose state may have
+        """Queue the sight groups next to every node whose state may have
         flipped since the masks were ``guard_before``/``clean_before``."""
         if not self._sight_waiters:
             return
@@ -452,9 +494,9 @@ class Engine:
         flipped = (guard_before ^ cmap.guard_mask) | (clean_before ^ cmap.clean_mask)
         for y in iter_set_bits(flipped):
             for x in self._topo.neighbors(y):
-                waiters = self._sight_waiters.get(x)
-                if waiters:
-                    self._dirty |= waiters
+                groups = self._sight_waiters.get(x)
+                if groups:
+                    self._dirty.update(groups)
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -509,21 +551,15 @@ class Engine:
             if event.time > self._time:
                 self._time = event.time
                 if self._clock_waiters:
-                    self._dirty |= self._clock_waiters
+                    self._dirty.update(self._clock_waiters)
             record = self._agents[event.agent_id]
             if event.token != record.token:
                 continue  # superseded by a newer scheduling decision
             if record.status == "terminated":
                 continue
             if record.status == "blocked":
-                # a wake-up: re-check the predicate under mutual exclusion
-                self._unfile(record)
-                if record.wait is not None and not self._evaluate(record, record.wait.predicate):
-                    self._file(record, False)
+                if not self._wake_up(record):
                     continue
-                record.wait = None
-                record.status = "ready"
-                self._resume(record, True)
             elif record.pending is not None:
                 completion = record.pending
                 record.pending = None
@@ -605,12 +641,13 @@ class Engine:
                 return
 
             if isinstance(action, WaitUntil):
-                if self._evaluate(record, action.predicate):
+                holds, reads = self._evaluate(node, action.predicate)
+                if holds:
                     value = True
                     continue
                 record.wait = action
                 record.status = "blocked"
-                self._file(record, False)
+                self._join(record, action.predicate, reads)
                 if action.wake_at is not None and action.wake_at > self._time:
                     self._schedule(record, action.wake_at)
                 self._trace.log(
@@ -768,34 +805,66 @@ class Engine:
 
         raise AgentError(f"agent {agent_id} yielded unknown action {action!r}")
 
-    def _wake_blocked(self) -> None:
-        """Log, publish and reschedule every blocked agent whose predicate
-        holds, in agent id order.
+    def _wake_up(self, record: _AgentRecord) -> bool:
+        """Run the event of a blocked agent — its wake-up, or a ``wake_at``
+        timer that fired while it was still filed — and say whether the
+        agent resumed.
 
-        Only the agents whose reads were touched since their last
-        evaluation are re-evaluated; every other blocked agent's last
-        verdict still stands, because a predicate depends only on what it
-        reads through its view.  The records are those of a full scan of
-        the blocked agents: a holding agent is logged again after each
-        event until its wake-up runs.  Double-waking is prevented by the
-        status transition in :meth:`run`.
+        The agent re-checks its own predicate under mutual exclusion: if it
+        holds the agent resumes, and if not (another agent got there first,
+        or the timer fired before the predicate turned true) it joins its
+        node's group for that predicate again.
         """
-        dirty = self._dirty
-        if dirty:
-            self._dirty = set()
-            due = sorted(dirty | self._holding)
-        elif self._holding:
-            due = sorted(self._holding)
-        else:
+        group = record.group
+        if group is not None:  # a timer: leave the group
+            record.group = None
+            group.members.remove(record.ctx.agent_id)
+            if not group.members:
+                self._dissolve(group)
+        predicate = record.wait.predicate
+        holds, reads = self._evaluate(record.ctx.node, predicate)
+        if not holds:
+            self._join(record, predicate, reads)
+            return False
+        record.wait = None
+        record.status = "ready"
+        self._resume(record, True)
+        return True
+
+    def _wake_blocked(self) -> None:
+        """Wake the members of every queued group whose predicate now
+        holds, and re-file the others under their new reads.
+
+        Each queued group is evaluated once, groups in the order of their
+        lowest member id.  Every other group's last verdict (false) still
+        stands, because a predicate depends only on what it reads through
+        its view.  A group that holds leaves the index, and its members
+        are logged as ``wake``, published and rescheduled, the members of
+        all holding groups together in agent id order.  Nothing is logged
+        again for a woken agent until its wake-up has run (see
+        :meth:`_wake_up`): one wake per false→true transition.
+        """
+        if not self._dirty:
             return
-        for agent_id in due:
+        # groups dissolved since they were queued (emptied) drop out
+        groups = [group for group in self._dirty if group.members]
+        self._dirty = {}
+        groups.sort(key=lambda group: group.members[0])
+        woken: List[int] = []
+        for group in groups:
+            holds, reads = self._evaluate(group.node, group.predicate)
+            if holds:
+                woken += group.members
+                group.members = []
+                self._dissolve(group)
+            elif reads != group.reads:
+                self._unfile(group)
+                group.reads = reads
+                self._file(group)
+        woken.sort()
+        for agent_id in woken:
             record = self._agents[agent_id]
-            if agent_id in dirty:
-                self._unfile(record)
-                holds = self._evaluate(record, record.wait.predicate)
-                self._file(record, holds)
-                if not holds:
-                    continue
+            record.group = None
             self._trace.log(TraceEvent(self._time, "wake", agent_id, record.ctx.node))
             if self._subscribers:
                 self._bus.publish(WakeEvent(self._time, agent_id, record.ctx.node))

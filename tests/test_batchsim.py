@@ -163,15 +163,15 @@ class TestTimelineVsEngine:
     def test_replay_order_reproduces_engine_move_stream(self):
         # the walker policies observe after every *engine-order* move —
         # replay_order must reproduce that order exactly, not column order
-        for name in ("clean", "visibility", "synchronous"):
-            schedule = get_strategy(name).run(4)
-            topo = Hypercube(4)
-            compiled = CompiledSchedule.from_schedule(schedule)
-            order = replay_order(compiled)
-            rec = EngineRecorder(schedule, topo)
-            engine_stream = [(src, dst) for _, src, dst, _, _ in rec.moves]
-            batch_stream = [(compiled.srcs[j], compiled.dsts[j]) for j in order]
-            assert batch_stream == engine_stream, name
+        for name in STRATEGIES:
+            for d in range(3, 9):
+                schedule = get_strategy(name).run(d)
+                compiled = CompiledSchedule.from_schedule(schedule)
+                order = replay_order(compiled)
+                rec = EngineRecorder(schedule, Hypercube(d))
+                engine_stream = [(src, dst) for _, src, dst, _, _ in rec.moves]
+                batch_stream = [(compiled.srcs[j], compiled.dsts[j]) for j in order]
+                assert batch_stream == engine_stream, (name, d)
 
     def test_replay_order_rejects_cloning(self):
         compiled = CompiledSchedule.from_schedule(get_strategy("cloning").run(3))

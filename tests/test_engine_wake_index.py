@@ -1,15 +1,21 @@
-"""The engine's indexed wake pass against the full scan it replaces.
+"""The engine's wake rule against the full scan that defines it.
 
-After every event the engine re-evaluates only the blocked agents whose
-predicate reads (their node's whiteboard, their neighbours' states, the
-clock) the event touched, yet it must log, publish and reschedule exactly
-what a full scan of every blocked agent would.  Three kinds of evidence:
+The engine evaluates a *wait group* — the blocked agents at one node that
+yielded one predicate object — once, and only after an event touched what
+the group's predicate last read (its node's whiteboard, its neighbours'
+states, the clock).  It wakes once per false→true transition: a woken
+agent is not evaluated again until its wake-up has run.  It must log,
+publish and reschedule exactly what a full scan would.  Three kinds of
+evidence:
 
 * golden digests of whole protocol runs — trace, bus stream, counters and
-  collector snapshot — pinned as constants the full-scan engine produced;
-* :class:`PollingEngine`, a test-local engine whose wake pass is that full
-  scan, run side by side with the engine on hypothesis-drawn protocols;
-* exact evaluation counts, which only an index can meet.
+  collector snapshot — pinned as constants the full-scan reference
+  produced;
+* :class:`PollingEngine`, a test-local engine whose wake rule is that full
+  scan, run side by side with the engine on whole protocols and on
+  hypothesis-drawn ones, including agents that block at one node on one
+  shared predicate object;
+* exact evaluation counts, which only an index of shared waits can meet.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import copy
 import functools
 import hashlib
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Set
 from unittest import mock
 
 import pytest
@@ -29,11 +35,13 @@ from repro.core.states import NodeState
 from repro.errors import ReproError
 from repro.obs import SimMetricsCollector, standard_probes
 from repro.obs.events import WakeEvent
-from repro.protocols import frontier_protocol
-from repro.protocols.cloning_protocol import run_cloning_protocol
-from repro.protocols.clean_protocol import run_clean_protocol
-from repro.protocols.sync_protocol import run_synchronous_protocol
-from repro.protocols.visibility_protocol import run_visibility_protocol
+from repro.protocols import (
+    clean_protocol,
+    cloning_protocol,
+    frontier_protocol,
+    sync_protocol,
+    visibility_protocol,
+)
 from repro.sim.agent import (
     CloneSelf,
     Move,
@@ -59,8 +67,19 @@ FUZZ = settings(
 
 
 class PollingEngine(Engine):
-    """The reference wake pass: re-run every blocked agent's predicate
-    after every event, each through a fresh view."""
+    """The reference wake rule, a full scan without any index.
+
+    After every event it re-runs every blocked agent's predicate, each
+    through a fresh view, and wakes — logs, publishes, reschedules — each
+    agent whose predicate holds and that has no live wake, in agent id
+    order.  A wake is live from this pass until the agent's wake-up runs;
+    there the agent re-checks its predicate through a fresh view and
+    stays blocked if it is false.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._live: Set[int] = set()
+        super().__init__(*args, **kwargs)
 
     def _polling_view(self, record) -> NodeView:
         node = record.ctx.node
@@ -72,29 +91,41 @@ class PollingEngine(Engine):
         clock = (lambda: self._time) if self._global_clock else None
         return NodeView(node=node, _wb_read=self.board(node).read, _see=see, _clock=clock)
 
+    def _join(self, record, predicate, reads) -> None:
+        pass  # no wake index: every blocked agent is scanned
+
+    def _wake_up(self, record) -> bool:
+        self._live.discard(record.ctx.agent_id)
+        if not record.wait.predicate(self._polling_view(record)):
+            return False
+        record.wait = None
+        record.status = "ready"
+        self._resume(record, True)
+        return True
+
     def _wake_blocked(self) -> None:
         for record in self._agents.values():
-            if record.status == "blocked" and record.wait is not None:
-                if record.wait.predicate(self._polling_view(record)):
-                    self._trace.log(
-                        TraceEvent(self._time, "wake", record.ctx.agent_id, record.ctx.node)
-                    )
-                    if self._subscribers:
-                        self._bus.publish(
-                            WakeEvent(self._time, record.ctx.agent_id, record.ctx.node)
-                        )
-                    self._schedule(record, self._time)
+            agent_id = record.ctx.agent_id
+            if record.status != "blocked" or agent_id in self._live:
+                continue
+            if record.wait.predicate(self._polling_view(record)):
+                self._live.add(agent_id)
+                self._trace.log(TraceEvent(self._time, "wake", agent_id, record.ctx.node))
+                if self._subscribers:
+                    self._bus.publish(WakeEvent(self._time, agent_id, record.ctx.node))
+                self._schedule(record, self._time)
 
 
 # --------------------------------------------------------------------- #
 # golden digests
 # --------------------------------------------------------------------- #
 
+#: protocol -> (module, runner, largest dimension of the matrix)
 _RUNNERS = {
-    "clean": (run_clean_protocol, 6),
-    "visibility": (run_visibility_protocol, 7),
-    "cloning": (run_cloning_protocol, 7),
-    "synchronous": (run_synchronous_protocol, 6),
+    "clean": (clean_protocol, "run_clean_protocol", 6),
+    "visibility": (visibility_protocol, "run_visibility_protocol", 7),
+    "cloning": (cloning_protocol, "run_cloning_protocol", 7),
+    "synchronous": (sync_protocol, "run_synchronous_protocol", 6),
 }
 
 #: delay regimes of the matrix, built fresh per run (RandomDelay is stateful)
@@ -108,26 +139,28 @@ _DELAYS = {
 _INTRUDERS = ("reachable", "walker")
 
 
-def run_digest(protocol: str, dimension: int, delay: str, intruder: str) -> str:
+def run_digest(protocol: str, dimension: int, delay: str, intruder: str, engine=Engine) -> str:
     """sha256 over everything a run lets a caller observe: every trace
     event, the bus stream, ``event_count``, the verdict line, peak bits,
     agent counts and final states, the metrics collector's snapshot and
-    the lenient probes' violations (the manifest's git revision aside)."""
+    the lenient probes' violations (the manifest's git revision aside).
+    ``engine`` is the engine class the protocol runs on."""
     collector = SimMetricsCollector()
     probes = standard_probes("lenient")
     stream: List[Any] = []
     subscribers = [collector, *probes, stream.append]
     if protocol == "frontier":
-        tapped = functools.partial(Engine, subscribers=subscribers)
+        tapped = functools.partial(engine, subscribers=subscribers)
         with mock.patch.object(frontier_protocol, "Engine", tapped):
             result = frontier_protocol.run_frontier_protocol(
                 Hypercube(dimension), delay=_DELAYS[delay](), intruder=intruder
             )
     else:
-        runner = _RUNNERS[protocol][0]
-        result = runner(
-            dimension, delay=_DELAYS[delay](), intruder=intruder, subscribers=subscribers
-        )
+        module, runner, _ = _RUNNERS[protocol]
+        with mock.patch.object(module, "Engine", engine):
+            result = getattr(module, runner)(
+                dimension, delay=_DELAYS[delay](), intruder=intruder, subscribers=subscribers
+            )
     h = hashlib.sha256()
     for event in result.trace:
         h.update(repr(event).encode())
@@ -152,32 +185,45 @@ def run_digest(protocol: str, dimension: int, delay: str, intruder: str) -> str:
     return h.hexdigest()
 
 
-def matrix_digest(protocol: str) -> str:
+def matrix_digest(protocol: str, engine=Engine) -> str:
     """One digest over the protocol's whole matrix: d = 1.. its maximum
     (H_2..H_5 for the frontier protocol), every delay regime, both
     intruders."""
-    dims = range(2, 6) if protocol == "frontier" else range(1, _RUNNERS[protocol][1] + 1)
+    dims = range(2, 6) if protocol == "frontier" else range(1, _RUNNERS[protocol][2] + 1)
     h = hashlib.sha256()
     for d in dims:
         for delay in _DELAYS:
             for intruder in _INTRUDERS:
-                h.update(run_digest(protocol, d, delay, intruder).encode())
+                h.update(run_digest(protocol, d, delay, intruder, engine).encode())
     return h.hexdigest()[:16]
 
 
-#: computed with :func:`matrix_digest` on the full-scan engine
+#: computed with ``matrix_digest(protocol, PollingEngine)``, the full scan
 GOLDEN = {
-    "clean": "88fc26b10cb67364",
-    "visibility": "bcfd700a99c20dbc",
-    "cloning": "4ec66685701122da",
-    "synchronous": "b8b0d87f86786341",
-    "frontier": "77d466e20c9b8018",
+    "clean": "ce9ddca45813e877",
+    "visibility": "b57947ef4fc0321c",
+    "cloning": "5edc9f6dbe249d5b",
+    "synchronous": "7c963ecf7351fdce",
+    "frontier": "3a58fb71afd7fe55",
 }
 
 
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
 def test_golden_digests_match_full_scan(protocol):
     assert matrix_digest(protocol) == GOLDEN[protocol]
+
+
+@pytest.mark.parametrize(
+    "protocol, dimension",
+    [("clean", 5), ("visibility", 6), ("cloning", 6), ("synchronous", 5), ("frontier", 4)],
+)
+@pytest.mark.parametrize("delay", ["unit", "random1", "straggler123"])
+def test_protocol_runs_match_the_full_scan(protocol, dimension, delay):
+    """Whole protocol runs, squads sharing one predicate object included,
+    observe the same on the engine as on the reference."""
+    assert run_digest(protocol, dimension, delay, "walker") == run_digest(
+        protocol, dimension, delay, "walker", PollingEngine
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -188,9 +234,9 @@ def test_golden_digests_match_full_scan(protocol):
 _KEYS = ("a", "a", "b")
 
 
-def _increment(key):
+def _add(key, step=1):
     def mutate(board: Dict[str, Any]) -> int:
-        board[key] = board.get(key, 0) + 1
+        board[key] = board.get(key, 0) + step
         return board[key]
 
     return mutate
@@ -219,7 +265,10 @@ def _predicate(spec):
     return lambda view: left(view) or right(view)
 
 
-def _behaviour(script, clones):
+def _behaviour(script, clones, shared):
+    """A drawn script as a behaviour; ``shared`` holds the run's shared
+    predicate objects, which every ``shared`` wait of every agent uses."""
+
     def behaviour(ctx):
         for op in script:
             kind = op[0]
@@ -228,7 +277,7 @@ def _behaviour(script, clones):
             elif kind == "write":
                 yield WriteWhiteboard(op[1], op[2])
             elif kind == "update":
-                yield UpdateWhiteboard(_increment(op[1]))
+                yield UpdateWhiteboard(_add(op[1]))
             elif kind == "read":
                 yield ReadWhiteboard(op[1])
             elif kind == "see":
@@ -236,8 +285,11 @@ def _behaviour(script, clones):
             elif kind == "wait":
                 spec, wake_at = op[1], op[2]
                 yield WaitUntil(_predicate(spec), description=repr(spec), wake_at=wake_at)
+            elif kind == "shared":
+                index, wake_at = op[1] % len(shared), op[2]
+                yield WaitUntil(shared[index], description=f"shared {index}", wake_at=wake_at)
             elif kind == "clone":
-                yield CloneSelf(_behaviour(clones[op[1] % len(clones)], clones))
+                yield CloneSelf(_behaviour(clones[op[1] % len(clones)], clones, shared))
         yield Terminate()
 
     return behaviour
@@ -254,8 +306,10 @@ _leaf_specs = st.one_of(
 _wait_specs = st.one_of(
     _leaf_specs, st.tuples(st.just("or"), _leaf_specs, _leaf_specs)
 )
-_waits = st.tuples(
-    st.just("wait"), _wait_specs, st.one_of(st.none(), st.integers(1, 10).map(float))
+_wake_ats = st.one_of(st.none(), st.integers(1, 10).map(float))
+_waits = st.one_of(
+    st.tuples(st.just("wait"), _wait_specs, _wake_ats),
+    st.tuples(st.just("shared"), st.integers(0, 2), _wake_ats),
 )
 _updates = st.tuples(st.just("update"), st.sampled_from(_KEYS))
 _writes = st.one_of(
@@ -282,8 +336,16 @@ _capability = st.sampled_from([True, True, True, False])
 
 
 @st.composite
-def drawn_runs(draw):
-    team = draw(st.lists(_scripts, min_size=2, max_size=5))
+def drawn_runs(draw, squads=False):
+    """A drawn run.  With ``squads`` every agent first waits on one of
+    the run's shared predicates, so squads block at the homebase on one
+    predicate object and the writers among them flip it."""
+    if squads:
+        opening = st.tuples(st.just("shared"), st.integers(0, 1), _wake_ats)
+        scripts = st.tuples(opening, _scripts).map(lambda drawn: [drawn[0], *drawn[1]])
+        team = draw(st.lists(scripts, min_size=3, max_size=6))
+    else:
+        team = draw(st.lists(_scripts, min_size=2, max_size=5))
     clones = draw(st.lists(_clone_scripts, min_size=1, max_size=3))
     crashes = draw(
         st.dictionaries(st.integers(0, len(team) - 1), st.integers(0, 8), max_size=2)
@@ -292,6 +354,7 @@ def drawn_runs(draw):
         "dimension": draw(st.integers(1, 4)),
         "team": team,
         "clones": clones,
+        "shared": draw(st.lists(_wait_specs, min_size=1, max_size=3)),
         "delay_seed": draw(st.one_of(st.none(), st.integers(0, 3))),
         "visibility": draw(_capability),
         "cloning": draw(_capability),
@@ -305,9 +368,10 @@ def _observe(engine_cls, run) -> Dict[str, Any]:
     """Everything observable of one run: outcome, trace, bus stream."""
     stream: List[str] = []
     seed = run["delay_seed"]
+    shared = [_predicate(spec) for spec in run["shared"]]
     engine = engine_cls(
         Hypercube(run["dimension"]),
-        [_behaviour(script, run["clones"]) for script in run["team"]],
+        [_behaviour(script, run["clones"], shared) for script in run["team"]],
         delay=UnitDelay() if seed is None else RandomDelay(seed=seed),
         visibility=run["visibility"],
         cloning=run["cloning"],
@@ -332,6 +396,12 @@ def _observe(engine_cls, run) -> Dict[str, Any]:
 @FUZZ
 @given(drawn_runs())
 def test_index_matches_full_scan_on_drawn_protocols(run):
+    assert _observe(Engine, run) == _observe(PollingEngine, run)
+
+
+@FUZZ
+@given(drawn_runs(squads=True))
+def test_wait_groups_match_full_scan_on_drawn_squads(run):
     assert _observe(Engine, run) == _observe(PollingEngine, run)
 
 
@@ -458,6 +528,117 @@ def test_short_circuit_refiles_under_the_new_reads():
     result = engine.run()
     assert result.blocked_agents == 1
     assert calls == [0.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_squad_on_one_predicate_object_is_evaluated_once_per_event(shared):
+    """Four waiters at node 0: each evaluates at its own wait and at its
+    own wake-up, but one shared predicate object is evaluated once for
+    all four after each write on node 0 (the noise at 0, the go at 2),
+    where four distinct objects are evaluated four times."""
+    calls: List[float] = []
+    one = _counted(lambda view: view.wb("go") == 1, calls, lambda: engine.time)
+
+    def waiter(ctx):
+        yield WaitUntil(one if shared else _counted(one, [], lambda: 0.0))
+        yield Terminate()
+
+    def writer(ctx):
+        yield WriteWhiteboard("noise", 1)
+        yield Move(1)
+        yield Move(0)
+        yield WriteWhiteboard("go", 1)
+        yield Terminate()
+
+    engine = Engine(Hypercube(2), [waiter] * 4 + [writer])
+    result = engine.run()
+    assert result.blocked_agents == 0
+    per_write = 1 if shared else 4
+    assert calls == [0.0] * (4 + per_write) + [2.0] * (per_write + 4)
+    for agent in range(4):
+        assert [e.kind for e in result.trace if e.agent == agent] == [
+            "wait", "wake", "terminate"
+        ]
+
+
+def test_one_wake_per_transition():
+    """Agent 1's write wakes agent 0; the writes of agents 2 and 3 on the
+    same board run before agent 0's wake-up, and neither logs nor
+    evaluates anything for it again."""
+    calls: List[float] = []
+
+    def writer(key):
+        def behaviour(ctx):
+            yield WriteWhiteboard(key, 1)
+            yield Terminate()
+
+        return behaviour
+
+    waiter = _waiter(lambda view: view.wb("go") == 1, calls, lambda: engine.time)
+    engine = Engine(Hypercube(2), [waiter, writer("go"), writer("x"), writer("y")])
+    result = engine.run()
+    assert [e.kind for e in result.trace if e.kind in ("wait", "wake")] == ["wait", "wake"]
+    # the wait, the write of "go", the re-check at the wake-up
+    assert calls == [0.0, 0.0, 0.0]
+
+
+def test_groups_that_hold_together_wake_in_agent_id_order():
+    """Agents 0 and 2 wait on one predicate object, 1 and 3 on another;
+    one write makes both hold, and the four wake in agent id order, not
+    group by group."""
+
+    def first(view):
+        return view.wb("go") == 1
+
+    def second(view):
+        return (view.wb("go") or 0) >= 1
+
+    def waiter(predicate):
+        def behaviour(ctx):
+            yield WaitUntil(predicate)
+            yield Terminate()
+
+        return behaviour
+
+    def writer(ctx):
+        yield WriteWhiteboard("go", 1)
+        yield Terminate()
+
+    team = [waiter(first), waiter(second), waiter(first), waiter(second), writer]
+    result = Engine(Hypercube(2), team).run()
+    assert [e.agent for e in result.trace if e.kind == "wake"] == [0, 1, 2, 3]
+
+
+def test_woken_agent_that_loses_the_race_refiles():
+    """Two waiters share one predicate object; one slot wakes both, the
+    first takes it, and the second's re-check fails: it re-files, logs no
+    second wait, and the next slot wakes it once more."""
+    calls: List[float] = []
+    has_slot = _counted(lambda view: (view.wb("slots") or 0) >= 1, calls, lambda: engine.time)
+
+    def waiter(ctx):
+        yield WaitUntil(has_slot)
+        yield UpdateWhiteboard(_add("slots", -1))
+        yield Terminate()
+
+    def poster(ctx):
+        yield UpdateWhiteboard(_add("slots", 1))
+        yield Move(1)
+        yield Move(0)
+        yield UpdateWhiteboard(_add("slots", 1))
+        yield Terminate()
+
+    engine = Engine(Hypercube(2), [waiter, waiter, poster])
+    result = engine.run()
+    assert result.blocked_agents == 0
+    kinds = {a: [e.kind for e in result.trace if e.agent == a] for a in (0, 1)}
+    assert kinds == {
+        0: ["wait", "wake", "terminate"],
+        1: ["wait", "wake", "wake", "terminate"],
+    }
+    # two waits, one group evaluation, two re-checks (the second fails);
+    # then one evaluation of agent 1's new group and its re-check
+    assert calls == [0.0] * 5 + [2.0] * 2
 
 
 # --------------------------------------------------------------------- #
