@@ -3,13 +3,14 @@
 Not a paper artifact: quantifies what the ``repro.fastpath`` plane buys.
 Three measurements, one JSON artifact:
 
-* ``compile``   — byte size of the columnar blob vs. the schedule's JSON
-  form, per strategy (the compiled form is what cache entries store);
+* ``compile``   — size on disk of the cache entry (the chunked columnar
+  layout, the cache's only one) vs. the schedule's JSON form, per
+  strategy;
 * ``sweep``     — wall time of the full sweep grid against an empty
-  cache directory (*cold*: generate + compile + store + batch-verify)
-  and again against the populated one (*warm*: deserialize + measure +
-  batch-verify), asserting the warm rows match a cache-less serial
-  sweep cell-for-cell;
+  cache directory (*cold*: stream the producer + store while streaming
+  + verify the chunks) and again against the populated one (*warm*:
+  stream off disk + verify + measure), asserting the warm rows match a
+  cache-less serial sweep cell-for-cell;
 * ``verify``    — one large schedule replayed by the classic
   :class:`~repro.analysis.verify.ScheduleVerifier` and by
   :func:`~repro.fastpath.batch_verify`, asserting identical verdicts.
@@ -51,25 +52,30 @@ def _flat(rows):
 
 
 def compile_ratios():
-    """Per-strategy blob-vs-JSON sizes at the largest grid dimension."""
+    """Per-strategy cache-entry-vs-JSON sizes at the largest grid dimension."""
     from repro.core.strategy import get_strategy
-    from repro.fastpath import CompiledSchedule
+    from repro.fastpath import CompiledSchedule, ScheduleCache
 
     d = max(DIMENSIONS)
     out = {}
-    for name in STRATEGIES:
-        schedule = get_strategy(name).run(d)
-        compiled = CompiledSchedule.from_schedule(schedule)
-        blob = compiled.to_bytes()
-        json_bytes = len(schedule.to_json().encode("utf-8"))
-        out[name] = {
-            "dimension": d,
-            "moves": compiled.total_moves,
-            "blob_bytes": len(blob),
-            "json_bytes": json_bytes,
-            "bytes_per_move": round(len(blob) / max(compiled.total_moves, 1), 2),
-            "json_over_blob": round(json_bytes / len(blob), 2),
-        }
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ScheduleCache(Path(tmp))
+        for name in STRATEGIES:
+            strategy = get_strategy(name)
+            schedule = strategy.run(d)
+            compiled = CompiledSchedule.from_schedule(schedule)
+            entry_bytes = cache.store(
+                cache.fingerprint_of(strategy, d), compiled
+            ).stat().st_size
+            json_bytes = len(schedule.to_json().encode("utf-8"))
+            out[name] = {
+                "dimension": d,
+                "moves": compiled.total_moves,
+                "entry_bytes": entry_bytes,
+                "json_bytes": json_bytes,
+                "bytes_per_move": round(entry_bytes / max(compiled.total_moves, 1), 2),
+                "json_over_entry": round(json_bytes / entry_bytes, 2),
+            }
     return out
 
 
@@ -159,8 +165,8 @@ def main() -> None:
     for name, ratio in ratios.items():
         print(
             f"compile {name:<12} d={ratio['dimension']}: "
-            f"{ratio['blob_bytes']} B blob vs {ratio['json_bytes']} B JSON "
-            f"({ratio['json_over_blob']}x)"
+            f"{ratio['entry_bytes']} B entry vs {ratio['json_bytes']} B JSON "
+            f"({ratio['json_over_entry']}x)"
         )
 
     if not SMOKE:
@@ -175,7 +181,7 @@ def main() -> None:
     payload = {
         "benchmark": "schedule_cache",
         "description": (
-            "columnar compiled-schedule sizes, cold vs warm sweep wall time "
+            "chunked cache-entry sizes, cold vs warm sweep wall time "
             "against a content-addressed schedule cache, and the mask-kernel "
             "batch verifier vs the classic replay verifier"
         ),

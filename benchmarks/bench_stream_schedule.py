@@ -14,8 +14,9 @@ measurements, one JSON artifact:
   dimension, asserting the streaming peak is a fraction of the
   monolithic one;
 * ``chunked_cache`` — cold (generate + stream-to-disk) vs. warm (stream
-  off the v2 chunked blob) wall time with the per-chunk hit/store
-  counters, asserting the warm bytes equal the cold bytes.
+  off the chunked cache entry) wall time with the per-chunk hit/store
+  counters, asserting the warm stream compiles to a ``CompiledSchedule``
+  equal to the cold one.
 
 Run ``python benchmarks/bench_stream_schedule.py`` to measure and write
 ``BENCH_stream_schedule.json`` at the repo root.  Set
@@ -134,8 +135,8 @@ def chunked_cache():
         warm = list(cache.stream_chunks(strategy, CACHE_DIMENSION, chunk_moves=CHUNK_MOVES))
         warm_seconds = time.perf_counter() - start
         stats = cache.stats.as_dict()
-    assert CompiledSchedule.from_chunks(iter(warm)).to_bytes() == (
-        CompiledSchedule.from_chunks(iter(cold)).to_bytes()
+    assert CompiledSchedule.from_chunks(iter(warm)) == (
+        CompiledSchedule.from_chunks(iter(cold))
     ), "warm chunk stream diverged from cold"
     assert stats["chunk_stores"] == len(cold) and stats["chunk_hits"] == len(warm)
     return {

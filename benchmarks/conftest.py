@@ -8,7 +8,10 @@ computation with pytest-benchmark, and writes the rendered artifact to
 
 Every artifact now gets a ``<name>.manifest.json`` sidecar (schema
 ``repro-manifest/v1``) stamping the git revision and python version that
-produced it — two reports are comparable iff their manifests match.
+produced it — two reports are comparable iff their manifests match.  A
+run that renders an artifact identical to the one on disk rewrites
+neither file, so the manifest keeps naming the revision that produced
+those bytes and re-running a bench leaves the working tree clean.
 """
 
 from pathlib import Path
@@ -26,8 +29,12 @@ def report():
     REPORT_DIR.mkdir(exist_ok=True)
 
     def write(name: str, text: str) -> None:
-        (REPORT_DIR / f"{name}.txt").write_text(text + "\n")
-        manifest = build_manifest(extra={"artifact": name})
-        write_manifest(REPORT_DIR / f"{name}.manifest.json", manifest)
+        path = REPORT_DIR / f"{name}.txt"
+        sidecar = REPORT_DIR / f"{name}.manifest.json"
+        rendered = text + "\n"
+        if sidecar.exists() and path.exists() and path.read_text() == rendered:
+            return
+        path.write_text(rendered)
+        write_manifest(sidecar, build_manifest(extra={"artifact": name}))
 
     return write

@@ -13,33 +13,26 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.analysis.verify import verify_schedule
-from repro.core.chunkstream import DEFAULT_CHUNK_MOVES, ScheduleChunk
+from repro.core.chunkstream import DEFAULT_CHUNK_MOVES, ScheduleChunk, chunks_to_schedule
 from repro.core.schedule import Schedule
 from repro.core.strategy import get_strategy
 from repro.errors import ReproError
 from repro.fastpath import (
-    CompiledSchedule,
     ScheduleCache,
-    batch_verify,
     batch_verify_chunks,
     measure_chunks,
     measure_schedule,
 )
 from repro.fastpath.npkernels import check_backend
+from repro.topology.hypercube import Hypercube
 
 __all__ = ["SweepRow", "Sweep", "run_sweep", "measure_cell"]
 
 #: the standard measured columns, in render order
 STANDARD_COLUMNS = ("agents", "moves", "agent_moves", "sync_moves", "steps")
-
-#: dimensions at or above this stream by default: a materialized d=16
-#: schedule is ~1M ``Move`` objects (hundreds of MB); the chunk pipeline
-#: holds one block at a time
-STREAM_DIMENSION_THRESHOLD = 16
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -85,127 +78,98 @@ def measure_cell(
     *,
     verify: bool = True,
     cache: Optional[ScheduleCache] = None,
-    stream: Optional[bool] = None,
+    stream: bool = True,
     chunk_moves: int = DEFAULT_CHUNK_MOVES,
     backend: Optional[str] = None,
 ) -> tuple[Dict[str, float], object, Dict[str, object]]:
     """One (strategy, dimension) measurement — the single cell kernel.
 
     Shared by the serial :meth:`Sweep.run` loop and the executor's
-    ``sweep_cell`` task, so the two paths cannot drift.  Returns
-    ``(values, schedule_like, provenance)``:
+    ``sweep_cell`` task, so the two paths cannot drift.  Every cell, at
+    every d, takes one chunk source: the cache's
+    :meth:`~repro.fastpath.ScheduleCache.stream_chunks` when a cache is
+    given (a warm entry streams off disk, a miss runs the producer and
+    stores while streaming), the strategy's producer
+    (:meth:`~repro.core.strategy.Strategy.generate_chunks`) otherwise.
+    Returns ``(values, schedule_like, provenance)``:
 
     * ``values`` — the :data:`STANDARD_COLUMNS` metric dict,
-    * ``schedule_like`` — a :class:`~repro.core.schedule.Schedule` on the
-      cache-less path, a :class:`~repro.fastpath.CompiledSchedule` on the
-      cached one (callers needing real moves decompile on demand), and
-      the final :class:`~repro.core.chunkstream.ScheduleChunk` on the
-      streaming path (the whole schedule was never resident),
+    * ``schedule_like`` — the final
+      :class:`~repro.core.chunkstream.ScheduleChunk` when streaming (the
+      whole schedule was never resident), the assembled
+      :class:`~repro.core.schedule.Schedule` otherwise,
     * ``provenance`` — empty without a cache; with one, the entry
       fingerprint and whether it was served from ``"cache"`` or
-      ``"generated"``.
+      ``"generated"`` (a cell that stored an entry — cold, or
+      regenerated over a corrupt one — was generated).
 
-    ``stream`` selects the bounded-memory chunk pipeline: generation (or
-    the cache's chunked warm path), verification and measurement all
-    fold chunk by chunk, holding ``O(chunk_moves)`` moves at any moment.
-    The default (``None``) streams at ``d >=``
-    :data:`STREAM_DIMENSION_THRESHOLD`, where materialized schedules
-    stop fitting comfortably in memory; the verdicts and metric values
-    are identical either way.
-
-    With a cache, verification uses the columnar batch verifier on both
-    the cold and warm paths (same verdict either way, and re-verifying a
-    warm entry guards against anything the CRC cannot see); without one,
-    the classic replay verifier runs exactly as before — except when
-    streaming, which always uses the chunked batch verifier.  A
+    ``stream=True`` (the default) verifies the chunks with the chunked
+    bit-plane kernel and measures from the fold, holding
+    ``O(chunk_moves)`` moves at any moment.  ``stream=False`` assembles
+    the same chunks into a ``Schedule`` — for callers that need real
+    moves, such as ``extra_metrics`` — and checks it with the reference
+    replay verifier.  The metric values are identical either way.  A
     verification failure raises :class:`~repro.errors.ReproError` — a
     sweep refuses to report numbers from a broken schedule.
 
-    The columnar verifier runs the bit-plane kernel on non-cloning
-    schedules.  ``backend`` accepts only ``None`` or ``"numpy"`` (the
-    name of that kernel) and changes nothing; any other value raises
+    ``backend`` accepts only ``None`` or ``"numpy"`` (the name of the
+    bit-plane kernel) and changes nothing; any other value raises
     :class:`~repro.errors.ScheduleError`.
     """
     check_backend(backend)
     strategy = get_strategy(name)
-    if stream is None:
-        stream = dimension >= STREAM_DIMENSION_THRESHOLD
-    if stream:
-        return _measure_cell_streaming(
-            name, strategy, dimension, verify, cache, chunk_moves
-        )
     if cache is not None:
-        fp, compiled = cache.load_compiled(strategy, dimension)
-        provenance: Dict[str, object] = {"fingerprint": fp, "source": "cache"}
-        if compiled is None:
-            provenance["source"] = "generated"
-            from repro.topology.hypercube import Hypercube
-
-            compiled = CompiledSchedule.from_schedule(
-                strategy.generate(Hypercube(dimension))
-            )
-            cache.store(fp, compiled)
-        if verify:
-            report = batch_verify(compiled)
-            if not report.ok:
-                raise ReproError(
-                    f"{name} d={dimension} failed verification: {report.summary()}"
-                )
-        return measure_schedule(compiled), compiled, provenance
-    schedule = strategy.run(dimension)
-    if verify:
-        report = verify_schedule(schedule)
-        if not report.ok:
-            raise ReproError(
-                f"{name} d={dimension} failed verification: {report.summary()}"
-            )
-    return measure_schedule(schedule), schedule, {}
-
-
-def _measure_cell_streaming(
-    name: str,
-    strategy,
-    dimension: int,
-    verify: bool,
-    cache: Optional[ScheduleCache],
-    chunk_moves: int,
-) -> tuple[Dict[str, float], object, Dict[str, object]]:
-    """The chunked cell kernel: one pass, one resident block.
-
-    The chunk stream flows through the verifier while a one-slot tap
-    captures the final chunk; measurement then folds from its cumulative
-    aggregate block — generate/verify/measure without the schedule ever
-    existing whole.
-    """
-    provenance: Dict[str, object] = {}
-    if cache is not None:
-        fp = cache.fingerprint_of(strategy, dimension)
-        warm = cache.chunk_path_for(fp).exists() or cache.path_for(fp).exists()
-        provenance = {"fingerprint": fp, "source": "cache" if warm else "generated"}
+        stores = cache.stats.stores
         chunks = cache.stream_chunks(strategy, dimension, chunk_moves)
     else:
-        from repro.topology.hypercube import Hypercube
-
         chunks = strategy.generate_chunks(Hypercube(dimension), chunk_moves)
+    measure = _measure_stream if stream else _measure_assembled
+    values, schedule_like = measure(name, dimension, chunks, verify)
+    provenance: Dict[str, object] = {}
+    if cache is not None:
+        provenance = {
+            "fingerprint": cache.fingerprint_of(strategy, dimension),
+            "source": "generated" if cache.stats.stores > stores else "cache",
+        }
+    return values, schedule_like, provenance
+
+
+def _measure_stream(
+    name: str, dimension: int, chunks: Iterator[ScheduleChunk], verify: bool
+) -> tuple[Dict[str, float], ScheduleChunk]:
+    """Verify with the chunk kernel, measure from the final chunk's fold."""
     final: List[ScheduleChunk] = []
 
-    def _tap(stream):
-        for chunk in stream:
+    def _tap(source: Iterator[ScheduleChunk]) -> Iterator[ScheduleChunk]:
+        for chunk in source:
             if chunk.is_last:
                 final.append(chunk)
             yield chunk
 
     if verify:
-        report = batch_verify_chunks(_tap(chunks))
-        if not report.ok:
-            raise ReproError(
-                f"{name} d={dimension} failed verification: {report.summary()}"
-            )
+        _check(name, dimension, batch_verify_chunks(_tap(chunks)))
     else:
         for _ in _tap(chunks):
             pass
-    values = measure_chunks(iter(final))
-    return values, final[0], provenance
+    return measure_chunks(iter(final)), final[0]
+
+
+def _measure_assembled(
+    name: str, dimension: int, chunks: Iterator[ScheduleChunk], verify: bool
+) -> tuple[Dict[str, float], Schedule]:
+    """Assemble a ``Schedule``, verify it with the reference replay."""
+    schedule = chunks_to_schedule(chunks)
+    if verify:
+        _check(name, dimension, verify_schedule(schedule))
+    return measure_schedule(schedule), schedule
+
+
+def _check(name: str, dimension: int, report: Any) -> None:
+    """Raise :class:`~repro.errors.ReproError` on a failed verdict."""
+    if not report.ok:
+        raise ReproError(
+            f"{name} d={dimension} failed verification: {report.summary()}"
+        )
 
 
 class Sweep:
@@ -221,22 +185,19 @@ class Sweep:
         Optional ``{name: fn(schedule) -> number}`` columns beyond the
         standard agents/moves/steps set.
     verify:
-        Replay-verify every schedule (on by default; the sweep refuses to
+        Verify every schedule (on by default; the sweep refuses to
         report numbers from a broken schedule).
     cache:
         Optional :class:`~repro.fastpath.ScheduleCache`; when given,
-        cells are served from it (compiling and storing on miss) and
-        verified with the columnar batch verifier.  A warm cell is pure
-        deserialize-and-measure.
-    stream:
-        ``True`` forces every cell through the bounded-memory chunk
-        pipeline, ``False`` forces materialization; the default
-        (``None``) streams cells at ``d >=``
-        :data:`STREAM_DIMENSION_THRESHOLD`.  Streaming cells never
-        materialize a schedule, so they cannot feed ``extra_metrics``
-        (``fn(schedule)`` callbacks) — combining the two raises.
+        cells stream from it (storing while streaming on a miss).  A
+        warm cell is pure read-verify-measure, chunk by chunk.
     chunk_moves:
-        Block size of the streaming pipeline.
+        Block size of the chunk stream.
+
+    Every cell goes through :func:`measure_cell`'s chunk pipeline.  A
+    sweep with ``extra_metrics`` assembles each cell's chunks into a
+    ``Schedule`` for the ``fn(schedule)`` callbacks (and verifies it
+    with the reference replay verifier); one without never builds one.
     """
 
     def __init__(
@@ -247,30 +208,16 @@ class Sweep:
         extra_metrics: Optional[Dict[str, Callable[[Schedule], float]]] = None,
         verify: bool = True,
         cache: Optional[ScheduleCache] = None,
-        stream: Optional[bool] = None,
         chunk_moves: int = DEFAULT_CHUNK_MOVES,
     ) -> None:
         if not strategies or not dimensions:
             raise ReproError("sweep needs at least one strategy and one dimension")
-        if extra_metrics and stream:
-            raise ReproError(
-                "extra_metrics need a materialized schedule; "
-                "a streaming sweep never builds one (drop stream=True "
-                "or the extra metrics)"
-            )
         self.strategies = list(strategies)
         self.dimensions = list(dimensions)
         self.extra_metrics = dict(extra_metrics or {})
         self.verify = verify
         self.cache = cache
-        self.stream = stream
         self.chunk_moves = chunk_moves
-
-    def _cell_streams(self, dimension: int) -> bool:
-        """Whether the cell at ``dimension`` goes through the chunk path."""
-        if self.stream is None:
-            return dimension >= STREAM_DIMENSION_THRESHOLD
-        return self.stream
 
     def run(self) -> List[SweepRow]:
         """Execute the grid; returns one row per (strategy, dimension)."""
@@ -283,21 +230,15 @@ class Sweep:
                         d,
                         verify=self.verify,
                         cache=self.cache,
-                        stream=self._cell_streams(d) and not self.extra_metrics,
+                        stream=not self.extra_metrics,
                         chunk_moves=self.chunk_moves,
                     )
                 except ReproError as exc:
                     if "failed verification" in str(exc):
                         raise ReproError(f"sweep aborted: {exc}") from exc
                     raise
-                if self.extra_metrics:
-                    schedule = (
-                        schedule_like.to_schedule()
-                        if isinstance(schedule_like, CompiledSchedule)
-                        else schedule_like
-                    )
-                    for metric, fn in self.extra_metrics.items():
-                        values[metric] = fn(schedule)
+                for metric, fn in self.extra_metrics.items():
+                    values[metric] = fn(schedule_like)
                 rows.append(
                     SweepRow(
                         strategy=name,

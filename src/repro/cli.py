@@ -150,27 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
         "-s", "--strategies", nargs="+", default=["clean", "visibility", "cloning"]
     )
     sweep.add_argument("--csv", metavar="FILE", default=None, help="also write CSV")
-    stream_group = sweep.add_mutually_exclusive_group()
-    stream_group.add_argument(
-        "--stream",
-        dest="stream",
-        action="store_true",
-        default=None,
-        help="force the bounded-memory chunk pipeline for every cell "
-        "(default: stream automatically at d >= 16)",
-    )
-    stream_group.add_argument(
-        "--no-stream",
-        dest="stream",
-        action="store_false",
-        help="force full materialization even at high dimensions",
-    )
     sweep.add_argument(
         "--chunk-moves",
         type=int,
         default=None,
         metavar="N",
-        help="moves per chunk on the streaming pipeline (default: 65536)",
+        help="moves per chunk of each cell's chunk stream (default: 65536)",
     )
     _add_executor_flags(sweep)
     _add_cache_flags(sweep)
@@ -579,7 +564,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     cache_dir=cache_dir,
                     metrics=trace.registry if trace else None,
                     tracer=trace.tracer if trace else None,
-                    stream=args.stream,
                     chunk_moves=args.chunk_moves,
                 )
         except ReproError as exc:
@@ -601,7 +585,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     args.strategies,
                     args.dimensions,
                     cache=cache,
-                    stream=args.stream,
                     chunk_moves=args.chunk_moves or DEFAULT_CHUNK_MOVES,
                 )
         except ReproError as exc:
@@ -1011,7 +994,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         info = cache.info()
         print(f"root        : {info['root']}")
         print(f"entries     : {info['entries']}")
-        print(f"chunked     : {info['chunked_entries']}")
         print(f"total bytes : {info['total_bytes']}")
         return 0
     removed = cache.clear()

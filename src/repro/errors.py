@@ -106,11 +106,13 @@ class CheckpointError(ExecutionError):
 
 
 class CompiledScheduleError(ReproError):
-    """A compiled-schedule byte blob is malformed, truncated or corrupt.
+    """A schedule cache entry is malformed, truncated or corrupt.
 
-    Raised by :meth:`repro.fastpath.CompiledSchedule.from_bytes` on any
-    format-level problem (bad magic, unsupported version, length mismatch,
-    checksum failure).  The schedule cache treats this as "entry missing"
+    Raised by the :class:`repro.fastpath.ScheduleCache` entry reader on
+    any format-level problem (bad magic, unsupported version, truncated
+    record, header/chunk/footer checksum failure, footer stats that
+    disagree with the chunks), and on compiled-schedule metadata that
+    cannot be encoded.  The cache treats a bad entry as "entry missing"
     and regenerates — it never propagates to callers.
     """
 

@@ -57,7 +57,6 @@ def sweep_jobs(
     *,
     verify: bool = True,
     cache_dir: Optional[Union[str, Path]] = None,
-    stream: Optional[bool] = None,
     chunk_moves: Optional[int] = None,
 ) -> List[Job]:
     """One ``sweep_cell`` job per (strategy, dimension), serial order.
@@ -65,9 +64,8 @@ def sweep_jobs(
     ``cache_dir`` names a shared :class:`~repro.fastpath.ScheduleCache`
     directory; every worker opens the same directory (safe: entries are
     published via atomic renames) so one cell's miss becomes every later
-    run's hit.  ``stream``/``chunk_moves`` select and size the workers'
-    bounded-memory chunk pipeline (``None`` = the cell kernel's
-    d-threshold default / default block size).
+    run's hit.  ``chunk_moves`` sizes the workers' chunk stream
+    (``None`` = the default block size).
     """
     jobs: List[Job] = []
     for name in strategies:
@@ -79,8 +77,6 @@ def sweep_jobs(
             }
             if cache_dir is not None:
                 payload["cache_dir"] = str(cache_dir)
-            if stream is not None:
-                payload["stream"] = bool(stream)
             if chunk_moves is not None:
                 payload["chunk_moves"] = int(chunk_moves)
             jobs.append(
@@ -105,7 +101,6 @@ def parallel_sweep(
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
     on_outcome: Optional[OutcomeHook] = None,
-    stream: Optional[bool] = None,
     chunk_moves: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> Tuple[Sweep, List[SweepRow], List[JobOutcome]]:
@@ -116,7 +111,7 @@ def parallel_sweep(
     ``status="failed"`` and no metric values (the renderers print
     ``FAILED``).  Only the standard metric columns are supported —
     ``extra_metrics`` callables cannot be shipped to workers.
-    ``stream``/``chunk_moves`` ride along to every worker's cell kernel.
+    ``chunk_moves`` rides along to every worker's cell kernel.
     ``backend`` accepts only ``None`` or ``"numpy"`` and is forwarded
     nowhere: the workers always verify with the bit-plane kernel.
     """
@@ -127,7 +122,6 @@ def parallel_sweep(
         dimensions,
         verify=verify,
         cache_dir=cache_dir,
-        stream=stream,
         chunk_moves=chunk_moves,
     )
     executor = ParallelExecutor(config, metrics=metrics, tracer=tracer, on_outcome=on_outcome)

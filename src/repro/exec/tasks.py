@@ -59,12 +59,10 @@ def sweep_cell(payload: Dict[str, Any], ctx: TaskContext) -> Dict[str, Any]:
     Payload: ``strategy`` (registry name), ``dimension`` (int), ``verify``
     (bool, default true), ``cache_dir`` (optional path to a shared
     :class:`~repro.fastpath.ScheduleCache` directory — safe across
-    concurrent workers thanks to its atomic writes), ``stream``
-    (optional bool — force the bounded-memory chunk pipeline on or off;
-    absent means the d-threshold default) and ``chunk_moves`` (optional
-    int block size for that pipeline).  Returns the flat row data the
-    serial :class:`~repro.analysis.sweeps.Sweep` would produce for this
-    cell — both paths call the same
+    concurrent workers thanks to its atomic writes) and ``chunk_moves``
+    (optional int block size of the cell's chunk stream).  Returns the
+    flat row data the serial :class:`~repro.analysis.sweeps.Sweep` would
+    produce for this cell — both paths call the same
     :func:`~repro.analysis.sweeps.measure_cell` kernel, so they cannot
     drift — plus cache provenance and counters when a cache is in play.
     A verification failure raises (→ a ``FAILED`` outcome), matching the
@@ -85,13 +83,11 @@ def sweep_cell(payload: Dict[str, Any], ctx: TaskContext) -> Dict[str, Any]:
         # (both Nones when capture is off — bind() accepts that).
         cache.bind_metrics(ctx.metrics)
         cache.bind_tracer(ctx.tracer)
-    stream = payload.get("stream")
     values, _, provenance = measure_cell(
         name,
         dimension,
         verify=bool(payload.get("verify", True)),
         cache=cache,
-        stream=None if stream is None else bool(stream),
         chunk_moves=int(payload.get("chunk_moves", DEFAULT_CHUNK_MOVES)),
     )
     out: Dict[str, Any] = {

@@ -7,12 +7,14 @@ makes re-measuring and re-verifying them cheap:
 
 * :class:`CompiledSchedule` — a lossless struct-of-arrays twin of
   :class:`~repro.core.schedule.Schedule` (six int64 columns plus the
-  one-pass aggregate-stats block) with a versioned, CRC-protected binary
-  form;
-* :class:`ScheduleCache` — a content-addressed on-disk store of compiled
-  schedules, fingerprinted by (strategy, version tag, dimension, params,
-  schema versions), with atomic writes so parallel executor workers can
-  share one directory and corrupt entries silently regenerating;
+  one-pass aggregate-stats block), assembled from and sliced into the
+  chunk stream;
+* :class:`ScheduleCache` — a content-addressed on-disk store of
+  schedules as chunked, CRC-protected entries (one layout), fingerprinted
+  by (strategy, version tag, dimension, params, format versions), with
+  atomic writes so parallel executor workers can share one directory and
+  corrupt entries silently regenerating; every accessor is a view over
+  the entry's chunk stream;
 * :func:`batch_verify` — a per-time-unit replay of the columnar form
   with O(1)-per-move integer kernels, verdict-equivalent to
   :class:`~repro.analysis.verify.ScheduleVerifier`;

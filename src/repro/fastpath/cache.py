@@ -1,10 +1,10 @@
 """Content-addressed on-disk cache of compiled schedules.
 
 A :class:`ScheduleCache` maps a *fingerprint* — the SHA-256 of
-(cache schema version, compiled-format version, strategy name, strategy
-version tag, dimension, strategy params) — to one
-:class:`~repro.fastpath.compiled.CompiledSchedule` blob on disk.  The
-fingerprint is the file name, so a cache directory is safe to share:
+(cache schema version, on-disk format version tags, strategy name,
+strategy version tag, dimension, strategy params) — to one chunked
+entry on disk, ``<fingerprint>.rprk``.  The fingerprint is the file
+name, so a cache directory is safe to share:
 
 * **between runs** — any input that changes the generated schedule
   (generator code via the strategy ``version`` tag, parameters, the byte
@@ -13,26 +13,29 @@ fingerprint is the file name, so a cache directory is safe to share:
 * **between processes** — writes go to a unique tmp file in the same
   directory followed by :func:`os.replace`, which is atomic on POSIX and
   Windows, so parallel executor workers racing on the same entry each
-  publish a complete blob and the last one wins (they are byte-identical
+  publish a complete entry and the last one wins (they are byte-identical
   anyway: generation is deterministic);
-* **against corruption** — a torn, truncated or bit-flipped entry fails
-  the blob's CRC/length checks
+* **against corruption** — the header, every chunk record and the
+  footer each carry a length and a CRC, so a torn, truncated or
+  bit-flipped entry fails the reader
   (:class:`~repro.errors.CompiledScheduleError`), is deleted, counted as
   ``corrupt`` and regenerated; it never crashes a run and never
   propagates garbage.
 
-Entries come in two layouts under one fingerprint: the monolithic v1
-blob (``.rprc``, the whole compiled schedule with one trailing CRC) and
-the chunked v2 blob (``.rprk``, fixed-size column blocks each with its
-own length + CRC record, header up front, metadata/stats footer at the
-end).  The classic accessors (:meth:`ScheduleCache.schedule_for`,
-:meth:`ScheduleCache.compiled_for`) and the streaming one
-(:meth:`ScheduleCache.stream_for`) each serve from either layout, so a
-cell is stored once in whichever layout produced it.  The chunked
-layout is what makes ``d >= 16`` warm paths bounded-memory: chunks
-stream straight off disk — never the whole entry in memory, never a
-``Move`` object — and a corrupt chunk costs one deterministic
-regeneration spliced invisibly into the stream, not a crash.
+An entry is one layout: a header up front, fixed-size column blocks
+each in its own length + CRC record, and a metadata/stats footer at the
+end.  Every accessor is a view over it.  :meth:`ScheduleCache.stream_chunks`
+streams it — chunks come straight off disk, never the whole entry in
+memory, never a ``Move`` object, and a corrupt chunk costs one
+deterministic regeneration spliced invisibly into the stream; a miss
+tees the strategy's producer into a new entry while the consumer
+drains it.  :meth:`~ScheduleCache.load` assembles an entry into a
+:class:`~repro.fastpath.compiled.CompiledSchedule`,
+:meth:`~ScheduleCache.store` slices one into an entry, and
+:meth:`~ScheduleCache.compiled_for` / :meth:`~ScheduleCache.schedule_for`
+assemble (and, for the latter, decompile) the stream.  Files of the
+older monolithic layout (``.rprc``) are never read;
+:meth:`~ScheduleCache.clear` removes them.
 
 Hit/miss/corrupt counts are mirrored into the process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` (``fastpath.cache.*``
@@ -81,20 +84,14 @@ from repro.fastpath.compiled import (
 __all__ = ["ScheduleCache", "CacheStats", "default_cache_dir", "fingerprint"]
 
 #: bump to orphan every existing cache entry at once
-CACHE_SCHEMA = "schedule-cache/v1"
+CACHE_SCHEMA = "schedule-cache/v2"
 
-#: magic prefix of a chunked (v2) cache entry
+#: magic prefix of a cache entry
 CHUNK_MAGIC = b"RPRK"
-#: version tag of the chunked byte layout below
-CHUNK_FORMAT_VERSION = 2
-#: logical schema tag of the chunked blob (documentation; the cache
-#: fingerprint deliberately does NOT include it — a v1 and a v2 entry
-#: of the same cell are the same content in two layouts, so they share
-#: one content address and either satisfies a lookup)
-CHUNK_SCHEMA_VERSION = "compiled-schedule-chunked/v2"
 
-# chunked entry layout:
-#   CHUNK_MAGIC | version u16 | header_len u32 | header JSON |
+# entry layout (version = FORMAT_VERSION, schema tag = SCHEMA_VERSION):
+#   CHUNK_MAGIC | version u16 | header_len u32 | crc32(header JSON) u32 |
+#   header JSON |
 #   chunk records: n_rows u32 | crc32(payload) u32 | payload |
 #   footer record: 0xFFFFFFFF u32 | crc32(footer JSON) u32 |
 #                  footer_len u32 | footer JSON
@@ -105,9 +102,14 @@ CHUNK_SCHEMA_VERSION = "compiled-schedule-chunked/v2"
 # of the block, concatenated in COLUMN_NAMES order, little-endian, and
 # is independently CRC-protected: one flipped bit costs one chunk's
 # regeneration, not the whole entry's trust.
-_CHUNK_PREAMBLE = struct.Struct("<4sHI")
+_CHUNK_PREAMBLE = struct.Struct("<4sHII")
 _CHUNK_RECORD = struct.Struct("<II")
 _FOOTER_SENTINEL = 0xFFFFFFFF
+
+#: file suffix of an entry; entries of the older monolithic layout used
+#: ``.rprc`` and are only ever deleted
+_SUFFIX = ".rprk"
+_LEGACY_SUFFIX = ".rprc"
 
 #: environment variable naming the default cache directory
 CACHE_DIR_ENV = "REPRO_SCHEDULE_CACHE"
@@ -223,20 +225,10 @@ class ScheduleCache:
     # ------------------------------------------------------------------ #
 
     def path_for(self, fp: str) -> Path:
-        """On-disk location of the monolithic (v1) entry for ``fp``."""
+        """On-disk location of the entry for ``fp``."""
         if len(fp) != 64 or not all(c in "0123456789abcdef" for c in fp):
             raise ScheduleCacheError(f"malformed fingerprint {fp!r}")
-        return self.root / f"{fp}.rprc"
-
-    def chunk_path_for(self, fp: str) -> Path:
-        """On-disk location of the chunked (v2) entry for ``fp``.
-
-        The two layouts share one fingerprint — same content, different
-        bytes — so a cell is stored at most once: the classic path
-        publishes ``.rprc``, the streaming path ``.rprk``, and each
-        loader falls back to the other's file.
-        """
-        return self.path_for(fp).with_suffix(".rprk")
+        return self.root / f"{fp}{_SUFFIX}"
 
     @staticmethod
     def fingerprint_of(strategy: Strategy, dimension: int) -> str:
@@ -246,7 +238,7 @@ class ScheduleCache:
         )
 
     # ------------------------------------------------------------------ #
-    # load / store
+    # load / store: whole-schedule views of one entry
     # ------------------------------------------------------------------ #
 
     def load(self, fp: str) -> Optional[CompiledSchedule]:
@@ -267,57 +259,32 @@ class ScheduleCache:
     def _load(self, fp: str) -> Optional[CompiledSchedule]:
         path = self.path_for(fp)
         try:
-            blob = path.read_bytes()
+            compiled = CompiledSchedule.from_chunks(self._read_chunk_entry(path))
         except FileNotFoundError:
-            return self._load_chunked_fallback(fp)
-        except OSError:
-            self.stats.count("corrupt")
             self.stats.count("misses")
             return None
-        try:
-            compiled = CompiledSchedule.from_bytes(blob)
-        except CompiledScheduleError:
-            self.stats.count("corrupt")
-            self.stats.count("misses")
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink
-                pass
-            return None
-        self.stats.count("hits")
-        return compiled
-
-    def _load_chunked_fallback(self, fp: str) -> Optional[CompiledSchedule]:
-        """Serve a :meth:`load` request from a chunked (v2) entry.
-
-        A cell generated by the streaming path exists only as ``.rprk``;
-        assembling its chunks gives classic consumers a warm hit instead
-        of a pointless regeneration.  Corruption is handled exactly like
-        a corrupt v1 blob: delete, count, miss.
-        """
-        cpath = self.chunk_path_for(fp)
-        if not cpath.exists():
-            self.stats.count("misses")
-            return None
-        try:
-            compiled = CompiledSchedule.from_chunks(self._read_chunk_entry(cpath))
         except (CompiledScheduleError, ScheduleError, OSError):
-            self.stats.count("corrupt")
-            self.stats.count("misses")
-            try:
-                cpath.unlink()
-            except OSError:  # pragma: no cover - racing unlink
-                pass
+            self._discard(path)
             return None
         self.stats.count("hits")
         return compiled
+
+    def _discard(self, path: Path) -> None:
+        """Count a corrupt entry (and the miss it becomes) and delete it."""
+        self.stats.count("corrupt")
+        self.stats.count("misses")
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - racing unlink
+            pass
 
     def store(self, fp: str, compiled: CompiledSchedule) -> Path:
         """Atomically publish ``compiled`` under fingerprint ``fp``.
 
-        tmp-file + :func:`os.replace` in the same directory: concurrent
-        writers each publish a complete blob, readers never observe a
-        torn one.
+        The columns are sliced into :data:`DEFAULT_CHUNK_MOVES` chunks
+        and written as one entry: tmp-file + :func:`os.replace` in the
+        same directory, so concurrent writers each publish a complete
+        entry and readers never observe a torn one.
         """
         tracer = self._tracer
         if tracer is None:
@@ -326,29 +293,13 @@ class ScheduleCache:
             return self._store(fp, compiled)
 
     def _store(self, fp: str, compiled: CompiledSchedule) -> Path:
-        path = self.path_for(fp)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{fp[:16]}.", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(compiled.to_bytes())
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError as exc:
-            raise ScheduleCacheError(f"cannot write cache entry {path}: {exc}") from exc
-        self.stats.count("stores")
-        return path
+        chunks = compiled.iter_chunks(DEFAULT_CHUNK_MOVES)
+        for _ in self._write_chunk_stream(fp, chunks, DEFAULT_CHUNK_MOVES):
+            pass
+        return self.path_for(fp)
 
     # ------------------------------------------------------------------ #
-    # chunked (v2) entry I/O
+    # entry I/O
     # ------------------------------------------------------------------ #
 
     def _read_chunk_entry(
@@ -357,30 +308,33 @@ class ScheduleCache:
         expect_strategy: Optional[str] = None,
         expect_dimension: Optional[int] = None,
     ) -> Iterator[ScheduleChunk]:
-        """Stream the chunks of a chunked (v2) entry off disk.
+        """Stream the chunks of an entry off disk.
 
         Bounded memory: one chunk record is resident at a time (plus a
         one-chunk lookahead so the final record can be flagged
         ``is_last`` when the footer arrives).  Raises
         :class:`~repro.errors.CompiledScheduleError` on any
-        malformation — bad magic, truncated record, per-chunk CRC
-        failure, footer stats disagreeing with the payloads — which the
-        callers translate into delete-and-regenerate.
+        malformation — bad magic, header CRC failure, truncated record,
+        per-chunk CRC failure, footer stats disagreeing with the
+        payloads — which the callers translate into
+        delete-and-regenerate.
         """
         with path.open("rb") as fh:
             pre = fh.read(_CHUNK_PREAMBLE.size)
             if len(pre) != _CHUNK_PREAMBLE.size:
-                raise CompiledScheduleError(f"chunked blob too short ({len(pre)} bytes)")
-            magic, version, header_len = _CHUNK_PREAMBLE.unpack(pre)
+                raise CompiledScheduleError(f"cache entry too short ({len(pre)} bytes)")
+            magic, version, header_len, header_crc = _CHUNK_PREAMBLE.unpack(pre)
             if magic != CHUNK_MAGIC:
-                raise CompiledScheduleError(f"bad chunked magic {magic!r}")
-            if version != CHUNK_FORMAT_VERSION:
+                raise CompiledScheduleError(f"bad cache entry magic {magic!r}")
+            if version != FORMAT_VERSION:
                 raise CompiledScheduleError(
-                    f"unsupported chunked format version {version}"
+                    f"unsupported cache entry format version {version}"
                 )
             header_bytes = fh.read(header_len)
             if len(header_bytes) != header_len:
-                raise CompiledScheduleError("truncated chunked header")
+                raise CompiledScheduleError("truncated cache entry header")
+            if zlib.crc32(header_bytes) != header_crc:
+                raise CompiledScheduleError("header CRC mismatch")
             try:
                 raw = json.loads(header_bytes.decode("utf-8"))
                 dimension = int(raw["dimension"])
@@ -397,7 +351,7 @@ class ScheduleCache:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise CompiledScheduleError(
-                    f"undecodable chunked header: {exc}"
+                    f"undecodable cache entry header: {exc}"
                 ) from exc
             if columns != list(COLUMN_NAMES):
                 raise CompiledScheduleError(f"unexpected column set {columns}")
@@ -419,7 +373,7 @@ class ScheduleCache:
                 head = fh.read(_CHUNK_RECORD.size)
                 if len(head) != _CHUNK_RECORD.size:
                     raise CompiledScheduleError(
-                        "truncated chunked blob (no footer record)"
+                        "truncated cache entry (no footer record)"
                     )
                 n_rows, crc = _CHUNK_RECORD.unpack(head)
                 if n_rows == _FOOTER_SENTINEL:
@@ -438,7 +392,7 @@ class ScheduleCache:
                         metadata = decode_metadata(footer["metadata"])
                     except (KeyError, TypeError, ValueError) as exc:
                         raise CompiledScheduleError(
-                            f"undecodable chunked footer: {exc}"
+                            f"undecodable cache entry footer: {exc}"
                         ) from exc
                     break
                 payload = fh.read(n_rows * len(COLUMN_NAMES) * 8)
@@ -482,7 +436,7 @@ class ScheduleCache:
                 index += 1
                 start += n_rows
             if pending is None:
-                raise CompiledScheduleError("chunked blob has no chunk records")
+                raise CompiledScheduleError("cache entry has no chunk records")
             if pending.stats_so_far != stats:
                 raise CompiledScheduleError(
                     "footer stats disagree with chunk payloads (corrupt entry)"
@@ -494,7 +448,7 @@ class ScheduleCache:
     def _write_chunk_stream(
         self, fp: str, chunks: Iterable[ScheduleChunk], chunk_moves: int
     ) -> Iterator[ScheduleChunk]:
-        """Tee a chunk stream to a chunked (v2) entry while yielding it.
+        """Tee a chunk stream to a new entry while yielding it.
 
         Store-while-streaming: each chunk is appended to a tmp file the
         moment it is yielded, and the entry is published atomically
@@ -503,7 +457,7 @@ class ScheduleCache:
         the consumer.  An abandoned or torn stream leaves no entry
         behind, only a tmp file that is unlinked on the way out.
         """
-        path = self.chunk_path_for(fp)
+        path = self.path_for(fp)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -521,7 +475,7 @@ class ScheduleCache:
                         head = chunk.header
                         header_bytes = json.dumps(
                             {
-                                "schema": CHUNK_SCHEMA_VERSION,
+                                "schema": SCHEMA_VERSION,
                                 "dimension": head.dimension,
                                 "strategy": head.strategy,
                                 "team_size": head.team_size,
@@ -536,7 +490,10 @@ class ScheduleCache:
                         ).encode("utf-8")
                         handle.write(
                             _CHUNK_PREAMBLE.pack(
-                                CHUNK_MAGIC, CHUNK_FORMAT_VERSION, len(header_bytes)
+                                CHUNK_MAGIC,
+                                FORMAT_VERSION,
+                                len(header_bytes),
+                                zlib.crc32(header_bytes),
                             )
                         )
                         handle.write(header_bytes)
@@ -586,7 +543,7 @@ class ScheduleCache:
                     pass
 
     # ------------------------------------------------------------------ #
-    # the warm path
+    # strategy-keyed views
     # ------------------------------------------------------------------ #
 
     def load_compiled(
@@ -597,49 +554,25 @@ class ScheduleCache:
         return fp, self.load(fp)
 
     def compiled_for(self, strategy: Strategy, dimension: int) -> CompiledSchedule:
-        """The strategy's compiled schedule, served warm when possible.
-
-        The columnar twin of :meth:`schedule_for`: a warm hit returns
-        the deserialized columns *as columns* — no ``Move`` object is
-        ever constructed — which is what the batch verifier, the metric
-        collector and the scenario engine actually consume.  A miss
-        generates, compiles, publishes and returns the compiled form.
-        """
-        fp, compiled = self.load_compiled(strategy, dimension)
-        if compiled is None:
-            from repro.topology.hypercube import Hypercube
-
-            compiled = CompiledSchedule.from_schedule(
-                strategy.generate(Hypercube(dimension))
-            )
-            self.store(fp, compiled)
-        return compiled
+        """The strategy's compiled schedule: :meth:`stream_chunks`,
+        assembled.  No ``Move`` object is built on a warm hit, nor on a
+        miss for a strategy with a columnar producer."""
+        return CompiledSchedule.from_chunks(self.stream_chunks(strategy, dimension))
 
     def schedule_for(self, strategy: Strategy, dimension: int) -> Schedule:
-        """The strategy's schedule, served warm when possible.
+        """The strategy's schedule: :meth:`compiled_for`, decompiled.
 
         This is the hook :meth:`repro.core.strategy.Strategy.run`
         consults when this cache is installed as the process-wide active
-        cache: a hit decompiles the stored columns (no generation), a
-        miss generates, compiles and publishes.
-
-        ``run``'s contract is a materialized :class:`Schedule`, so a
-        warm hit here necessarily pays ``to_schedule()`` — one ``Move``
-        object per stored row.  Columnar consumers must not route
-        through this accessor: use :meth:`compiled_for` (columns, stats
-        header) or :meth:`stream_for` (bounded-memory chunks) instead.
+        cache.  ``run``'s contract is a materialized :class:`Schedule`,
+        so this accessor necessarily builds one ``Move`` object per row;
+        columnar consumers use :meth:`compiled_for` or
+        :meth:`stream_chunks` instead.
         """
-        fp, compiled = self.load_compiled(strategy, dimension)
-        if compiled is None:
-            from repro.topology.hypercube import Hypercube
-
-            schedule = strategy.generate(Hypercube(dimension))
-            self.store(fp, CompiledSchedule.from_schedule(schedule))
-            return schedule
-        return compiled.to_schedule()
+        return self.compiled_for(strategy, dimension).to_schedule()
 
     # ------------------------------------------------------------------ #
-    # the streaming warm path
+    # the stream: the one way a schedule leaves the cache
     # ------------------------------------------------------------------ #
 
     def stream_chunks(
@@ -650,18 +583,12 @@ class ScheduleCache:
     ) -> Iterator[ScheduleChunk]:
         """The strategy's schedule as a bounded-memory chunk stream.
 
-        Resolution order:
-
-        1. a chunked (v2) entry — chunks stream straight off disk,
-           re-sliced to ``chunk_moves`` if the stored block size
-           differs; one ``chunk_hits`` count per chunk served;
-        2. a monolithic (v1) entry — sliced via
-           :meth:`CompiledSchedule.iter_chunks` (in-memory columns, but
-           still zero ``Move`` objects);
-        3. cold — the strategy's streaming generator, teed to a new
-           chunked entry while the consumer drains it
-           (store-while-streaming), published atomically at the final
-           chunk.
+        A warm entry streams straight off disk, re-sliced to
+        ``chunk_moves`` if the stored block size differs, with one
+        ``chunk_hits`` count per chunk served.  A miss runs the
+        strategy's producer, teed to a new entry while the consumer
+        drains it (store-while-streaming) and published atomically at
+        the final chunk.
 
         A chunk that fails its CRC mid-stream is handled without
         disturbing the consumer: the entry is deleted and counted
@@ -697,12 +624,12 @@ class ScheduleCache:
     ) -> Iterator[ScheduleChunk]:
         from repro.topology.hypercube import Hypercube
 
-        cpath = self.chunk_path_for(fp)
-        if cpath.exists():
-            delivered = 0  # moves already handed over (complete chunks only)
+        path = self.path_for(fp)
+        delivered = 0  # moves already handed over (complete chunks only)
+        if path.exists():
             warm = False
             try:
-                source = self._read_chunk_entry(cpath, strategy.name, dimension)
+                source = self._read_chunk_entry(path, strategy.name, dimension)
                 for chunk in rechunk(source, chunk_moves):
                     if not warm:
                         self.stats.count("hits")
@@ -712,32 +639,19 @@ class ScheduleCache:
                     delivered += len(chunk)
                 return
             except (CompiledScheduleError, ScheduleError, OSError):
-                self.stats.count("corrupt")
-                self.stats.count("misses")
-                try:
-                    cpath.unlink()
-                except OSError:  # pragma: no cover - racing unlink
-                    pass
-                # regenerate deterministically at the same block size;
-                # every chunk yielded before the failure was a complete
-                # chunk_moves block (rechunk only emits its final,
-                # possibly-short chunk after a clean source), so the
-                # replacement chunks line up exactly and the consumer
-                # never notices the splice
-                regen = strategy.generate_chunks(Hypercube(dimension), chunk_moves)
-                for chunk in self._write_chunk_stream(fp, regen, chunk_moves):
-                    if chunk.start_move < delivered and not chunk.is_last:
-                        continue
-                    yield chunk
-                return
-        compiled = self.load(fp)
-        if compiled is not None:
-            for chunk in compiled.iter_chunks(chunk_moves):
-                self.stats.count("chunk_hits")
-                yield chunk
-            return
+                self._discard(path)
+        else:
+            self.stats.count("misses")
+        # regenerate deterministically at the same block size; every
+        # chunk yielded before a failure was a complete chunk_moves block
+        # (rechunk only emits its final, possibly-short chunk after a
+        # clean source), so the replacement chunks line up exactly and
+        # the consumer never notices the splice
         regen = strategy.generate_chunks(Hypercube(dimension), chunk_moves)
-        yield from self._write_chunk_stream(fp, regen, chunk_moves)
+        for chunk in self._write_chunk_stream(fp, regen, chunk_moves):
+            if chunk.start_move < delivered and not chunk.is_last:
+                continue
+            yield chunk
 
     def stream_for(
         self,
@@ -755,21 +669,16 @@ class ScheduleCache:
     # ------------------------------------------------------------------ #
 
     def entries(self) -> Iterator[Path]:
-        """Every entry file (monolithic and chunked) in the cache dir."""
+        """Every entry file in the cache dir."""
         if not self.root.is_dir():
             return iter(())
-        return iter(
-            sorted(list(self.root.glob("*.rprc")) + list(self.root.glob("*.rprk")))
-        )
+        return iter(sorted(self.root.glob(f"*{_SUFFIX}")))
 
     def info(self) -> Dict[str, object]:
         """Summary of the on-disk state plus this process's counters."""
         paths = list(self.entries())
         total = 0
-        chunked = 0
         for p in paths:
-            if p.suffix == ".rprk":
-                chunked += 1
             try:
                 total += p.stat().st_size
             except OSError:  # pragma: no cover - racing delete
@@ -777,21 +686,21 @@ class ScheduleCache:
         return {
             "root": str(self.root),
             "entries": len(paths),
-            "chunked_entries": chunked,
             "total_bytes": total,
             "stats": self.stats.as_dict(),
         }
 
     def clear(self) -> int:
-        """Delete every entry (and stray tmp file); returns the count."""
+        """Delete every entry, every leftover of the older monolithic
+        layout and every stray tmp file; returns the count."""
         removed = 0
         if not self.root.is_dir():
             return removed
-        doomed = (
-            list(self.root.glob("*.rprc"))
-            + list(self.root.glob("*.rprk"))
-            + list(self.root.glob("*.tmp"))
-        )
+        doomed = [
+            path
+            for pattern in (f"*{_SUFFIX}", f"*{_LEGACY_SUFFIX}", "*.tmp")
+            for path in self.root.glob(pattern)
+        ]
         for path in doomed:
             try:
                 path.unlink()

@@ -6,8 +6,8 @@ A :class:`CompiledSchedule` stores the move list of a
 one-pass :class:`~repro.core.schedule.ScheduleAggregates` stats block.
 The paper's strategies emit ``O(n log n)`` moves (Theorems 3/8), so at
 d=16 a schedule is ~1M Python ``Move`` objects; the columnar twin packs
-the same information into six contiguous int64 buffers that serialize,
-hash and replay without materializing a single ``Move``.
+the same information into six contiguous int64 buffers that hash, slice
+into chunks and replay without materializing a single ``Move``.
 
 Two invariants define the format:
 
@@ -15,18 +15,16 @@ Two invariants define the format:
   is ``==`` to ``s``, including metadata that plain JSON cannot round-trip
   (the generators record int-keyed dicts and tuples; see
   :func:`encode_metadata`);
-* **self-verification** — the byte form carries a magic, a format
-  version, explicit lengths and a CRC-32 footer, so a torn or bit-flipped
-  cache entry raises :class:`~repro.errors.CompiledScheduleError` on load
-  instead of decoding into garbage.
+* **one byte form** — a compiled schedule reaches disk only as the
+  schedule cache's chunked entry (:mod:`repro.fastpath.cache`): its
+  chunk records are these columns in :data:`COLUMN_NAMES` order, and
+  the version tags below name that layout.  :meth:`iter_chunks` and
+  :meth:`from_chunks` are the bridge in each direction.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 import sys
-import zlib
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
@@ -55,29 +53,25 @@ __all__ = [
     "decode_metadata",
 ]
 
-#: magic prefix of every compiled-schedule blob
-MAGIC = b"RPRC"
-#: bump on any incompatible change to the byte layout below
-FORMAT_VERSION = 1
-#: logical schema tag; part of every cache fingerprint
-SCHEMA_VERSION = "compiled-schedule/v1"
+#: version of the chunked on-disk layout (the cache entry's preamble
+#: carries it); bump on any incompatible change to that byte layout
+FORMAT_VERSION = 3
+#: logical schema tag of the on-disk layout; part of every cache
+#: fingerprint, so a bump orphans every existing entry
+SCHEMA_VERSION = "compiled-schedule-chunked/v3"
 
-#: column order in the binary payload (each an int64 array)
+#: column order of every chunk record's payload (each an int64 array)
 COLUMN_NAMES: Tuple[str, ...] = ("time", "agent", "src", "dst", "kind", "role")
 
 # enum <-> small-int codes, shared with the chunk plane so a chunk's
 # columns and a compiled column slice are interchangeable.  The *byte*
-# form never stores these indices bare: the header records the enum
-# value strings in index order, so a blob decodes correctly even if the
-# enum declaration order changes.
+# form never stores these indices bare: the entry header records the
+# enum value strings in index order, so an entry decodes correctly even
+# if the enum declaration order changes.
 _KINDS: Tuple[MoveKind, ...] = KINDS
 _ROLES: Tuple[AgentRole, ...] = ROLES
 _KIND_CODE = KIND_CODE
 _ROLE_CODE = ROLE_CODE
-
-# MAGIC | format version (u16) | header length (u32), little-endian
-_PREAMBLE = struct.Struct("<4sHI")
-_CRC = struct.Struct("<I")
 
 _TAG = "__repro__"
 
@@ -137,9 +131,10 @@ class CompiledSchedule:
 
     The six columns are parallel ``array('q')`` buffers, one entry per
     move, in replay order.  ``stats`` is the full aggregate block, so a
-    compiled schedule answers every ``Sweep.run`` measurement without
-    touching the columns at all — the cache's warm path is exactly
-    "deserialize header, read stats".
+    compiled schedule answers every standard measurement without
+    touching the columns at all.  Two equal compiled schedules agree on
+    every header field, column, stat and metadata value — the equality
+    the chunked cache entry round-trips.
     """
 
     dimension: int
@@ -268,7 +263,8 @@ class CompiledSchedule:
         """Assemble a chunk stream into one compiled schedule.
 
         Column concatenation only — the inverse of :meth:`iter_chunks`,
-        and the bridge the cache's store-while-streaming path uses.
+        and how the pipeline holds a producer's or a cache entry's
+        stream whole.
         Raises :class:`~repro.errors.ScheduleError` on a torn stream
         (no chunks, or no final chunk).
         """
@@ -374,108 +370,6 @@ class CompiledSchedule:
         schedule._agg = self.stats
         schedule._agg_key = (len(moves), moves[-1] if moves else None)
         return schedule
-
-    # ------------------------------------------------------------------ #
-    # binary serialization
-    # ------------------------------------------------------------------ #
-
-    def to_bytes(self) -> bytes:
-        """Versioned binary form::
-
-            MAGIC | version u16 | header_len u32 | header JSON |
-            6 * total_moves int64 column payload | crc32 u32
-
-        The CRC covers everything before the footer.
-        """
-        header = {
-            "schema": SCHEMA_VERSION,
-            "dimension": self.dimension,
-            "strategy": self.strategy,
-            "team_size": self.team_size,
-            "homebase": self.homebase,
-            "uses_cloning": self.uses_cloning,
-            "metadata": encode_metadata(self.metadata),
-            "stats": self.stats.as_dict(),
-            "total_moves": len(self.times),
-            "columns": list(COLUMN_NAMES),
-            "kind_values": [k.value for k in _KINDS],
-            "role_values": [r.value for r in _ROLES],
-        }
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        parts = [_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes)), header_bytes]
-        for col in self.columns().values():
-            parts.append(_native(col).tobytes())
-        body = b"".join(parts)
-        return body + _CRC.pack(zlib.crc32(body))
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CompiledSchedule":
-        """Decode :meth:`to_bytes` output; raises
-        :class:`~repro.errors.CompiledScheduleError` on any malformation
-        (short blob, bad magic, unknown version, length mismatch, CRC
-        failure, undecodable header)."""
-        if len(blob) < _PREAMBLE.size + _CRC.size:
-            raise CompiledScheduleError(f"blob too short ({len(blob)} bytes)")
-        magic, version, header_len = _PREAMBLE.unpack_from(blob)
-        if magic != MAGIC:
-            raise CompiledScheduleError(f"bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise CompiledScheduleError(f"unsupported format version {version}")
-        body, (crc,) = blob[: -_CRC.size], _CRC.unpack(blob[-_CRC.size :])
-        if zlib.crc32(body) != crc:
-            raise CompiledScheduleError("CRC mismatch (torn or corrupt blob)")
-        header_end = _PREAMBLE.size + header_len
-        if header_end > len(body):
-            raise CompiledScheduleError("header length exceeds blob")
-        try:
-            header = json.loads(body[_PREAMBLE.size : header_end].decode("utf-8"))
-            total = int(header["total_moves"])
-            columns = list(header["columns"])
-            kind_values = [MoveKind(v) for v in header["kind_values"]]
-            role_values = [AgentRole(v) for v in header["role_values"]]
-            stats = ScheduleAggregates.from_dict(header["stats"])
-            metadata = decode_metadata(header["metadata"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CompiledScheduleError(f"undecodable header: {exc}") from exc
-        if columns != list(COLUMN_NAMES):
-            raise CompiledScheduleError(f"unexpected column set {columns}")
-        expected = header_end + len(COLUMN_NAMES) * total * 8
-        if expected != len(body):
-            raise CompiledScheduleError(
-                f"payload length mismatch ({len(body)} != {expected})"
-            )
-        cols: List["array[int]"] = []
-        offset = header_end
-        for _ in COLUMN_NAMES:
-            col = array("q", bytes(0))
-            col.frombytes(body[offset : offset + total * 8])
-            cols.append(_native(col))
-            offset += total * 8
-        times, agents, srcs, dsts, kinds, roles = cols
-        # re-map stored enum codes if the declaration order ever changed
-        if kind_values != list(_KINDS):
-            remap = array("q", (_KIND_CODE[kind_values[c]] for c in kinds))
-            kinds = remap  # pragma: no cover - only on enum reorder
-        if role_values != list(_ROLES):
-            roles = array("q", (_ROLE_CODE[role_values[c]] for c in roles))  # pragma: no cover
-        for code_col, bound, label in ((kinds, len(_KINDS), "kind"), (roles, len(_ROLES), "role")):
-            if code_col and not (min(code_col) >= 0 and max(code_col) < bound):
-                raise CompiledScheduleError(f"{label} code out of range")
-        return cls(
-            dimension=int(header["dimension"]),
-            strategy=str(header["strategy"]),
-            team_size=int(header["team_size"]),
-            homebase=int(header["homebase"]),
-            uses_cloning=bool(header["uses_cloning"]),
-            metadata=metadata,  # type: ignore[arg-type]
-            times=times,
-            agents=agents,
-            srcs=srcs,
-            dsts=dsts,
-            kinds=kinds,
-            roles=roles,
-            stats=stats,
-        )
 
     def verify_stats(self) -> bool:
         """Cross-check the stats block against a fresh column scan."""

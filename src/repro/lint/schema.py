@@ -1,7 +1,8 @@
 """RPR360: structural fingerprints of the on-disk formats vs a baseline.
 
-Two byte formats cross process and host boundaries: the
-:class:`~repro.fastpath.compiled.CompiledSchedule` column layout and the
+Two byte formats cross process and host boundaries: the schedule
+cache's chunked entry, whose chunk records hold the
+:class:`~repro.fastpath.compiled.CompiledSchedule` columns, and the
 executor checkpoint record (:class:`~repro.exec.jobs.JobOutcome` rows
 under a ``CHECKPOINT_SCHEMA`` header).  Both carry version tags so that
 *incompatible* bytes miss cleanly instead of decoding as garbage — but a

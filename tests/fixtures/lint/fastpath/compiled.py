@@ -5,7 +5,7 @@ The layout below adds a ``phase`` column over the committed
 exactly the drift the rule exists to catch.
 """
 
-SCHEMA_VERSION = "compiled-schedule/v1"
-FORMAT_VERSION = 1
+SCHEMA_VERSION = "compiled-schedule-chunked/v3"
+FORMAT_VERSION = 3
 
 COLUMN_NAMES = ["time", "agent", "src", "dst", "kind", "role", "phase"]

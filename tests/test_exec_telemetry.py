@@ -276,7 +276,7 @@ class TestTraceFlagCli:
         assert len(runs) == 1
         names = {s["name"] for s in read_runlog(runs[0]).spans}
         assert "fastpath.run_batch" in names
-        assert "strategy.run" in names
+        assert "strategy.run_chunks" in names
 
     def test_trace_subcommand_renders_fresh_runlog(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main as cli_main

@@ -2,8 +2,8 @@
 
 Three contracts, each exercised end to end:
 
-* **losslessness** — ``compile -> bytes -> compile -> decompile`` is the
-  identity on every generator's output, metadata included;
+* **losslessness** — ``compile -> cache entry -> load -> decompile`` is
+  the identity on every generator's output, metadata included;
 * **verdict equivalence** — :func:`repro.fastpath.batch_verify` agrees
   with the classic :class:`~repro.analysis.verify.ScheduleVerifier` on
   clean schedules *and* on seeded violations (one move per time unit,
@@ -24,7 +24,7 @@ from repro.core.strategy import (
     get_strategy,
     set_active_cache,
 )
-from repro.errors import CompiledScheduleError, ScheduleCacheError, ScheduleError
+from repro.errors import ScheduleCacheError, ScheduleError
 from repro.fastpath import (
     CompiledSchedule,
     ScheduleCache,
@@ -34,6 +34,7 @@ from repro.fastpath import (
     fingerprint,
     measure_schedule,
 )
+from repro.fastpath.cache import _CHUNK_PREAMBLE, _CHUNK_RECORD
 
 ALL_STRATEGIES = sorted(available_strategies())
 
@@ -50,19 +51,29 @@ def seeded(moves, team, d=2, **kwargs):
 
 
 # --------------------------------------------------------------------- #
-# compile / decompile / bytes
+# compile / decompile / cache entry
 # --------------------------------------------------------------------- #
+
+
+def round_trip(tmp_path, compiled):
+    """``compiled`` through one cache entry: store, then load."""
+    cache = ScheduleCache(tmp_path)
+    fp = fingerprint(compiled.strategy, "probe", compiled.dimension)
+    cache.store(fp, compiled)
+    loaded = cache.load(fp)
+    assert cache.stats.hits == 1 and cache.stats.corrupt == 0
+    return loaded
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     @pytest.mark.parametrize("d", range(1, 9))
-    def test_exact_round_trip(self, name, d):
+    def test_exact_round_trip(self, name, d, tmp_path):
         schedule = get_strategy(name).run(d)
-        compiled = CompiledSchedule.from_bytes(
-            CompiledSchedule.from_schedule(schedule).to_bytes()
-        )
-        back = compiled.to_schedule()
+        compiled = CompiledSchedule.from_schedule(schedule)
+        loaded = round_trip(tmp_path, compiled)
+        assert loaded == compiled  # header fields, columns, stats, metadata
+        back = loaded.to_schedule()
         assert back == schedule  # moves, metadata, flags — everything
         assert back.metadata == schedule.metadata
         assert [type(m.kind) for m in back.moves] == [type(m.kind) for m in schedule.moves]
@@ -82,23 +93,48 @@ class TestRoundTrip:
         assert back._agg is compiled.stats
         assert measure_schedule(back) == measure_schedule(compiled)
 
-    def test_metadata_round_trips_int_keys_and_tuples(self):
+    def test_metadata_round_trips_int_keys_and_tuples(self, tmp_path):
         payload = {"extras_per_level": {1: 2, 3: 4}, "pair": (1, "a"), "xs": [1, 2]}
         assert decode_metadata(encode_metadata(payload)) == payload
-
-    def test_blob_rejects_garbage(self):
         compiled = CompiledSchedule.from_schedule(get_strategy("clean").run(3))
-        blob = compiled.to_bytes()
-        with pytest.raises(CompiledScheduleError):
-            CompiledSchedule.from_bytes(b"")
-        with pytest.raises(CompiledScheduleError):
-            CompiledSchedule.from_bytes(b"NOPE" + blob[4:])
-        with pytest.raises(CompiledScheduleError):
-            CompiledSchedule.from_bytes(blob[: len(blob) // 2])  # truncated
-        flipped = bytearray(blob)
-        flipped[len(blob) // 2] ^= 0xFF
-        with pytest.raises(CompiledScheduleError):
-            CompiledSchedule.from_bytes(bytes(flipped))  # CRC catches the flip
+        compiled.metadata = payload
+        loaded = round_trip(tmp_path, compiled)
+        assert loaded.metadata == payload
+        assert isinstance(loaded.metadata["pair"], tuple)
+        assert list(loaded.metadata["extras_per_level"]) == [1, 3]
+
+    def test_blob_rejects_garbage(self, tmp_path):
+        """Every damaged entry is a corrupt miss: ``load`` returns
+        ``None``, counts it and deletes the file."""
+        compiled = CompiledSchedule.from_schedule(get_strategy("clean").run(3))
+        fp = fingerprint("clean", "probe", 3)
+        blob = ScheduleCache(tmp_path / "pristine").store(fp, compiled).read_bytes()
+        header_end = _CHUNK_PREAMBLE.size + _CHUNK_PREAMBLE.unpack_from(blob)[2]
+        n_rows, _ = _CHUNK_RECORD.unpack_from(blob, header_end)
+        payload = header_end + _CHUNK_RECORD.size
+        assert n_rows > 0 and len(blob) > payload + 6 * 8 * n_rows
+
+        def flipped(offset):
+            damaged = bytearray(blob)
+            damaged[offset] ^= 0x01
+            return bytes(damaged)
+
+        damages = {
+            "empty": b"",
+            "bad magic": b"NOPE" + blob[4:],
+            "header bit": flipped(_CHUNK_PREAMBLE.size + 2),
+            "truncated record": blob[: payload + 3 * 8 * n_rows],
+            "payload bit": flipped(payload + 8 * n_rows),  # agent column, row 0
+            "footer bit": flipped(len(blob) - 2),  # inside the footer JSON
+        }
+        for damage, data in damages.items():
+            cache = ScheduleCache(tmp_path / "damaged")
+            path = cache.store(fp, compiled)
+            path.write_bytes(data)
+            assert cache.load(fp) is None, damage
+            assert cache.stats.as_dict()["corrupt"] == 1, damage
+            assert cache.stats.misses == 1 and cache.stats.hits == 0, damage
+            assert not path.exists(), damage
 
 
 # --------------------------------------------------------------------- #
@@ -262,7 +298,12 @@ class TestScheduleCache:
 
             def generate(self, hypercube):
                 moves = [mk(0, 0, 1, t) for t in range(1, self.steps + 1)]
-                return seeded(moves, 1, d=hypercube.dimension)
+                # named after the probe: the cache's entry reader treats
+                # an entry naming another strategy as corrupt
+                return Schedule(
+                    dimension=hypercube.dimension, strategy=self.name,
+                    moves=moves, team_size=1,
+                )
 
         cache = ScheduleCache(tmp_path)
         short, long = Tunable(steps=1), Tunable(steps=3)
@@ -281,6 +322,28 @@ class TestScheduleCache:
         assert cache.fingerprint_of(short, 2) != cache.fingerprint_of(long, 2)
         assert len(cache.schedule_for(short, 2).moves) == 1
         assert len(cache.schedule_for(long, 2).moves) == 3
+
+    def test_leftover_monolithic_entry_is_never_served(self, tmp_path):
+        """The older monolithic layout (``<fp>.rprc``) is never read, not
+        even at the current address; ``clear()`` still removes it."""
+        cache = ScheduleCache(tmp_path)
+        strategy = get_strategy("clean")
+        fp = cache.fingerprint_of(strategy, 3)
+        # the address the previous on-disk format gave this cell
+        assert fp != "0b6e8684191a9273bdca4b4eb81c2d26611a454ad4acbc2201e8f7348d9a2827"
+        legacy = tmp_path / f"{fp}.rprc"
+        legacy.write_bytes(b"RPRC" + bytes(60))
+        assert cache.load(fp) is None
+        assert cache.stats.misses == 1 and cache.stats.corrupt == 0
+        assert cache.compiled_for(strategy, 3) == CompiledSchedule.from_schedule(
+            strategy.run(3)
+        )
+        assert cache.stats.hits == 0 and cache.stats.stores == 1
+        assert legacy.exists()
+        assert [p.name for p in cache.entries()] == [f"{fp}.rprk"]
+        assert cache.info()["entries"] == 1
+        assert cache.clear() == 2
+        assert not legacy.exists() and list(tmp_path.iterdir()) == []
 
     def test_active_cache_serves_strategy_run(self, tmp_path):
         cache = ScheduleCache(tmp_path)
@@ -384,11 +447,11 @@ class TestCacheCli:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         assert main(["sweep", "-d", "2", "-s", "clean", "--no-cache"]) == 0
         assert "schedule cache" not in capsys.readouterr().out
-        assert list(tmp_path.glob("*.rprc")) == []
+        assert list(tmp_path.glob("*.rprk")) == []
         # without --no-cache the environment switches the cache on
         assert main(["sweep", "-d", "2", "-s", "clean"]) == 0
         assert "schedule cache" in capsys.readouterr().out
-        assert len(list(tmp_path.glob("*.rprc"))) == 1
+        assert len(list(tmp_path.glob("*.rprk"))) == 1
 
     def test_parallel_sweep_shares_cache_dir(self, tmp_path, capsys):
         from repro.cli import main
@@ -400,7 +463,7 @@ class TestCacheCli:
         ]
         assert main(argv) == 0
         capsys.readouterr()
-        assert len(list(cache_dir.glob("*.rprc"))) == 4
+        assert len(list(cache_dir.glob("*.rprk"))) == 4
         # serial warm run over the directory the workers populated
         assert main(argv[:-2]) == 0
         assert "4 hit(s), 0 miss(es)" in capsys.readouterr().out
@@ -411,7 +474,7 @@ class TestCacheCli:
         assert main(["experiment", "E1", "--cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "schedule cache" in out
-        assert len(list(tmp_path.glob("*.rprc"))) > 0
+        assert len(list(tmp_path.glob("*.rprk"))) > 0
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,8 @@ Four contracts:
 * **equivalence** — for every strategy and any chunk size (one move, a
   prime, a power of two, larger than the whole schedule), the chunked
   pipeline is indistinguishable from the monolithic one: concatenated
-  chunks compile to the same bytes, ``batch_verify_chunks`` returns the
+  chunks compile to an equal ``CompiledSchedule`` (header fields,
+  columns, stats and metadata), ``batch_verify_chunks`` returns the
   same report, ``measure_chunks`` the same metric columns;
 * **boundedness** — a native streaming producer feeding the streaming
   verifier holds O(chunk + n) memory, never the O(moves) plane
@@ -13,11 +14,12 @@ Four contracts:
   of megabytes);
 * **warm-path materialization** — columnar consumers served from a warm
   cache (``compiled_for``, ``stream_chunks``) construct zero ``Move``
-  objects, and so does a cold streamed cell of a strategy with a
-  columnar producer; only ``schedule_for`` decompiles;
-* **chunked cache robustness** — the v2 blob round-trips cold→warm with
-  per-chunk counters, splices over a corrupt chunk by regenerating, and
-  each layout falls back to the other so a cell is stored once.
+  objects, and so do a cold cell, a default ``measure_cell`` call and a
+  cold ``compile_for_spec`` of a strategy with a columnar producer;
+  only ``schedule_for`` decompiles;
+* **chunked cache robustness** — the one entry layout round-trips
+  cold→warm with per-chunk counters, splices over a corrupt chunk by
+  regenerating, and serves every accessor.
 """
 
 import tracemalloc
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sweeps import STREAM_DIMENSION_THRESHOLD, measure_cell
+from repro.analysis.sweeps import measure_cell
 from repro.core.chunkstream import (
     DEFAULT_CHUNK_MOVES,
     chunks_to_schedule,
@@ -83,7 +85,7 @@ class TestChunkedEquivalence:
         chunked = CompiledSchedule.from_chunks(
             strategy.generate_chunks(cube, chunk_moves)
         )
-        assert chunked.to_bytes() == mono.to_bytes()
+        assert chunked == mono
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     @pytest.mark.parametrize("chunk_moves", CHUNK_SIZES)
@@ -123,7 +125,7 @@ class TestChunkedEquivalence:
         chunked = CompiledSchedule.from_chunks(
             strategy.generate_chunks(cube, chunk_moves)
         )
-        assert chunked.to_bytes() == mono.to_bytes()
+        assert chunked == mono
         assert batch_verify_chunks(
             strategy.generate_chunks(cube, chunk_moves)
         ) == batch_verify(mono)
@@ -140,7 +142,7 @@ class TestChunkedEquivalence:
         rechunked = CompiledSchedule.from_chunks(
             rechunk(strategy.generate_chunks(cube, source), target)
         )
-        assert rechunked.to_bytes() == mono.to_bytes()
+        assert rechunked == mono
 
 
 # --------------------------------------------------------------------- #
@@ -254,6 +256,27 @@ class TestWarmPathNoMoves:
         assert provenance["source"] == "generated"
         assert cache.stats.stores == 1 and values["moves"] > 0
 
+    @pytest.mark.parametrize("name", ["clean", "visibility", "synchronous", "cloning"])
+    def test_default_cell_builds_no_moves_cold_or_warm(self, name, tmp_path, monkeypatch):
+        """``measure_cell`` without a ``stream`` argument streams at every
+        d: neither the cold cell nor the warm one builds a ``Move``."""
+        cache = ScheduleCache(tmp_path)
+        no_moves_allowed(monkeypatch)
+        cold, _, cold_provenance = measure_cell(name, 6, cache=cache)
+        warm, _, warm_provenance = measure_cell(name, 6, cache=cache)
+        assert cold_provenance["source"] == "generated"
+        assert warm_provenance["source"] == "cache"
+        assert cold == warm and cold["moves"] > 0
+        assert cache.stats.stores == 1 and cache.stats.hits == 1
+
+    @pytest.mark.parametrize("name", ["clean", "visibility", "synchronous", "cloning"])
+    def test_cold_compile_for_spec_builds_no_moves(self, name, monkeypatch):
+        from repro.fastpath.batchsim import BatchScenarioSpec, compile_for_spec
+
+        reference = CompiledSchedule.from_schedule(get_strategy(name).generate(Hypercube(6)))
+        no_moves_allowed(monkeypatch)
+        assert compile_for_spec(BatchScenarioSpec(dimension=6, strategy=name)) == reference
+
     def test_schedule_for_does_materialize(self, tmp_path, monkeypatch):
         """The probe is real: the decompiling accessor must trip it."""
         cache = ScheduleCache(tmp_path)
@@ -328,13 +351,12 @@ class TestChunkedCache:
         assert cache.stats.misses == 1 and cache.stats.stores == 1
         assert cache.stats.chunk_stores == len(cold)
         fp = cache.fingerprint_of(strategy, 4)
-        assert cache.chunk_path_for(fp).exists()
-        assert not cache.path_for(fp).exists()  # one blob per cell
+        assert list(cache.entries()) == [cache.path_for(fp)]  # one entry per cell
         warm = self.warm(cache, strategy, 4)
         assert cache.stats.hits == 1
         assert cache.stats.chunk_hits == len(warm)
-        assert CompiledSchedule.from_chunks(iter(warm)).to_bytes() == (
-            CompiledSchedule.from_chunks(iter(cold)).to_bytes()
+        assert CompiledSchedule.from_chunks(iter(warm)) == (
+            CompiledSchedule.from_chunks(iter(cold))
         )
 
     def test_warm_rechunk_serves_any_size(self, tmp_path):
@@ -343,8 +365,8 @@ class TestChunkedCache:
         self.warm(cache, strategy, 4, chunk_moves=64)
         resliced = self.warm(cache, strategy, 4, chunk_moves=17)
         assert all(len(c) == 17 for c in resliced[:-1])
-        assert CompiledSchedule.from_chunks(iter(resliced)).to_bytes() == (
-            CompiledSchedule.from_schedule(strategy.generate(Hypercube(4))).to_bytes()
+        assert CompiledSchedule.from_chunks(iter(resliced)) == (
+            CompiledSchedule.from_schedule(strategy.generate(Hypercube(4)))
         )
 
     def test_corrupt_chunk_splices_regeneration(self, tmp_path):
@@ -352,14 +374,14 @@ class TestChunkedCache:
         strategy = get_strategy("clean")
         baseline = CompiledSchedule.from_chunks(
             iter(self.warm(cache, strategy, 5, chunk_moves=16))
-        ).to_bytes()
-        path = cache.chunk_path_for(cache.fingerprint_of(strategy, 5))
+        )
+        path = cache.path_for(cache.fingerprint_of(strategy, 5))
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x10
         path.write_bytes(bytes(blob))
         spliced = self.warm(cache, strategy, 5, chunk_moves=16)
         assert cache.stats.corrupt == 1
-        assert CompiledSchedule.from_chunks(iter(spliced)).to_bytes() == baseline
+        assert CompiledSchedule.from_chunks(iter(spliced)) == baseline
         # the regenerated entry is republished and clean again
         self.warm(cache, strategy, 5, chunk_moves=16)
         assert cache.stats.corrupt == 1
@@ -375,32 +397,22 @@ class TestChunkedCache:
         fp = writer.fingerprint_of(strategy, 4)
         for _ in writer._write_chunk_stream(fp, rechunk(iter(chunks), 8), 8):
             pass
-        assert writer.chunk_path_for(fp).exists()
+        assert writer.path_for(fp).exists()
         cache = ScheduleCache(tmp_path)
         served = list(cache.stream_chunks(strategy, 4, chunk_moves=8))
         assert cache.stats.corrupt == 1 and cache.stats.hits == 0
-        assert CompiledSchedule.from_chunks(iter(served)).to_bytes() == (
-            CompiledSchedule.from_schedule(strategy.generate(Hypercube(4))).to_bytes()
+        assert CompiledSchedule.from_chunks(iter(served)) == (
+            CompiledSchedule.from_schedule(strategy.generate(Hypercube(4)))
         )
         # the regenerated entry is clean
         again = ScheduleCache(tmp_path)
         list(again.stream_chunks(strategy, 4, chunk_moves=8))
         assert again.stats.corrupt == 0 and again.stats.hits == 1
 
-    def test_v1_entry_serves_chunk_stream(self, tmp_path):
-        cache = ScheduleCache(tmp_path)
-        strategy = get_strategy("visibility")
-        fp = cache.fingerprint_of(strategy, 4)
-        compiled = CompiledSchedule.from_schedule(strategy.run(4))
-        cache.store(fp, compiled)  # classic monolithic blob
-        chunks = self.warm(cache, strategy, 4, chunk_moves=16)
-        assert cache.stats.hits == 1 and cache.stats.chunk_hits == len(chunks)
-        assert CompiledSchedule.from_chunks(iter(chunks)).to_bytes() == compiled.to_bytes()
-
     def test_v2_entry_serves_schedule_for(self, tmp_path):
         cache = ScheduleCache(tmp_path)
         strategy = get_strategy("clean")
-        self.warm(cache, strategy, 4)  # publishes only the chunked layout
+        self.warm(cache, strategy, 4)  # publishes the entry
         assert cache.schedule_for(strategy, 4) == strategy.generate(Hypercube(4))
         assert cache.stats.hits == 1
 
@@ -412,20 +424,11 @@ class TestChunkedCache:
         stream.close()  # consumer walks away mid-stream
         assert list(tmp_path.glob("*.tmp")) == []
         assert list(tmp_path.glob(".*.tmp")) == []
-        assert cache.info()["chunked_entries"] == 0
+        assert cache.info()["entries"] == 0
         # a fresh consumer regenerates from scratch, cleanly
         report = batch_verify_chunks(cache.stream_chunks(strategy, 5, chunk_moves=8))
         assert report.ok
-        assert cache.info()["chunked_entries"] == 1
-
-    def test_info_counts_both_layouts(self, tmp_path):
-        cache = ScheduleCache(tmp_path)
-        cache.schedule_for(get_strategy("clean"), 3)  # v1
-        self.warm(cache, get_strategy("visibility"), 3)  # v2
-        info = cache.info()
-        assert info["entries"] == 2 and info["chunked_entries"] == 1
-        assert cache.clear() == 2
-        assert cache.info()["entries"] == 0
+        assert cache.info()["entries"] == 1
 
     def test_metrics_mirror_chunk_counters(self, tmp_path):
         from repro.obs import MetricsRegistry
@@ -452,6 +455,21 @@ class TestStreamingMeasureCell:
         streamed, _, _ = measure_cell(name, 4, stream=True, chunk_moves=32)
         assert streamed == classic
 
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_assembled_cell_matches_streamed_cell(self, name, tmp_path):
+        """``stream=False`` assembles the same chunks into a ``Schedule``
+        and checks it with the reference verifier: same values, with and
+        without a cache, cold and warm."""
+        cache = ScheduleCache(tmp_path)
+        streamed, last, _ = measure_cell(name, 5)
+        assert last.is_last
+        for source in (None, cache, cache):
+            assembled, schedule, _ = measure_cell(name, 5, cache=source, stream=False)
+            assert assembled == streamed
+            assert schedule == get_strategy(name).generate(Hypercube(5))
+            assert measure_cell(name, 5, cache=source)[0] == streamed
+        assert cache.stats.misses == 1 and cache.stats.hits == 3
+
     def test_streaming_cache_provenance(self, tmp_path):
         cache = ScheduleCache(tmp_path)
         _, _, cold = measure_cell("clean", 4, cache=cache, stream=True, chunk_moves=32)
@@ -460,9 +478,17 @@ class TestStreamingMeasureCell:
         assert warm["source"] == "cache"
         assert warm["fingerprint"] == cold["fingerprint"]
         assert cache.stats.chunk_hits > 0
+        # a corrupt entry is regenerated, and the cell says so
+        path = cache.path_for(cold["fingerprint"])
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        for stream in (True, False):
+            _, _, again = measure_cell("clean", 4, cache=cache, stream=stream, chunk_moves=32)
+            assert again["source"] == ("generated" if stream else "cache")
+        assert cache.stats.corrupt == 1
 
-    def test_threshold_is_the_default_switch(self):
-        assert STREAM_DIMENSION_THRESHOLD == 16
+    def test_default_chunk_size(self):
         assert DEFAULT_CHUNK_MOVES == 65536
 
     def test_streaming_verification_failure_raises(self, monkeypatch):
