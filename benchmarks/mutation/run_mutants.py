@@ -1,0 +1,162 @@
+"""Verifier mutants that once survived the test suite must stay killed.
+
+Each mutant below is a one-line change to the bit-plane verifier that
+passed every test at some point.  A test was added for each one; this
+script keeps it that way.  For every mutant it copies ``src/``,
+``tests/``, ``conftest.py`` and ``pyproject.toml`` to a temporary
+directory, replaces the one target line there (matched exactly, leading
+whitespace aside, and required to be unique) and runs ``pytest -x`` on
+the mutant's killing tests against that copy.  Only a test failure
+(pytest exit status 1) counts as a kill.  A control run of every
+killing test on an unmutated copy goes first and must pass, so a broken
+suite cannot pass for a kill.
+
+Standard library only: no mutation framework is a dependency.  It takes
+no arguments and runs every mutant in :data:`MUTANTS`; run it from
+anywhere::
+
+    python benchmarks/mutation/run_mutants.py
+
+Exit status 0 when every mutant is killed, 1 when one survives, its
+target line is missing or not unique, or its tests cannot run.  About
+20 s for the whole list on a 2-CPU machine.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence, Tuple
+
+REPO = Path(__file__).resolve().parents[2]
+KERNEL = "src/repro/fastpath/npkernels.py"
+PARITY = "tests/test_npkernels.py::TestVerifierParity"
+DECLINED = "tests/test_npkernels.py::TestDeclinedBlocks"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    line: str
+    mutant: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "chain-strictness",
+        KERNEL,
+        "chained = (~first[1:]) & ((ss[1:] != sd[:-1]) | (st[1:] <= st[:-1]))",
+        "chained = (~first[1:]) & ((ss[1:] != sd[:-1]) | (st[1:] < st[:-1]))",
+        (f"{PARITY}::test_every_fault_at_every_row",),
+    ),
+    Mutant(
+        "occupancy-floor",
+        KERNEL,
+        "if int(guards.min()) < 0:",
+        "if int(guards.min()) < -1:",
+        (f"{PARITY}::test_header_team_too_small",),
+    ),
+    Mutant(
+        "departures-always-decline",
+        KERNEL,
+        "if bool((in_region & (nb_max > cu)).any()):",
+        "if True:",
+        (f"{DECLINED}::test_valid_schedules_never_decline_at_scale",),
+    ),
+    Mutant(
+        "clone-ground-dropped",
+        KERNEL,
+        "if bool((self.clean_order[s[clones]] >= base + clones).any()):",
+        "if False:",
+        (f"{PARITY}::test_delayed_suffix_every_row[cloning]",),
+    ),
+)
+
+
+def _apply(root: Path, mutant: Mutant) -> str:
+    """Write the mutant into the copy under ``root``; '' or the problem."""
+    target = root / mutant.path
+    lines = target.read_text().splitlines(keepends=True)
+    hits = [i for i, text in enumerate(lines) if text.strip() == mutant.line]
+    if len(hits) != 1:
+        return f"target line found {len(hits)} times in {mutant.path}: {mutant.line!r}"
+    text = lines[hits[0]]
+    indent = text[: len(text) - len(text.lstrip())]
+    lines[hits[0]] = indent + mutant.mutant + "\n"
+    target.write_text("".join(lines))
+    return ""
+
+
+def _copy_tree(root: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(REPO / name, root / name, ignore=ignore)
+    for name in ("conftest.py", "pyproject.toml"):
+        shutil.copy2(REPO / name, root / name)
+
+
+def _pytest(root: Path, tests: Sequence[str]) -> Tuple[int, str]:
+    """Run ``tests`` against the copy under ``root``: exit status and the
+    first failing test (or the last line of the report)."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    lines = done.stdout.strip().splitlines() or [""]
+    failed = [line for line in lines if line.startswith("FAILED ")]
+    return done.returncode, failed[0] if failed else lines[-1]
+
+
+def run(mutant: Mutant) -> Tuple[str, str]:
+    """One mutant in its own copy: ``("killed" | "survived" | "error", detail)``."""
+    with tempfile.TemporaryDirectory(prefix="repro-mutant-") as tmp:
+        root = Path(tmp)
+        _copy_tree(root)
+        problem = _apply(root, mutant)
+        if problem:
+            return "error", problem
+        status, detail = _pytest(root, mutant.tests)
+    if status == 1:
+        return "killed", detail
+    if status == 0:
+        return "survived", detail
+    return "error", f"pytest exit status {status}: {detail}"
+
+
+def control(mutants: Sequence[Mutant]) -> Tuple[int, str]:
+    """Every killing test on an unmutated copy."""
+    tests = sorted({test for m in mutants for test in m.tests})
+    with tempfile.TemporaryDirectory(prefix="repro-mutant-") as tmp:
+        _copy_tree(Path(tmp))
+        return _pytest(Path(tmp), tests)
+
+
+def main() -> int:
+    status, detail = control(MUTANTS)
+    print(f"{'passed' if status == 0 else 'FAILED':8s} control run: {detail}", flush=True)
+    if status != 0:
+        return 1
+    failed = 0
+    for m in MUTANTS:
+        start = time.perf_counter()
+        verdict, detail = run(m)
+        failed += verdict != "killed"
+        print(f"{verdict:8s} {m.name} ({time.perf_counter() - start:.1f} s): {detail}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ makes re-measuring and re-verifying them cheap:
   homebase scenarios scored against it in homebase-relative
   coordinates (see :mod:`repro.fastpath.batchsim`);
 * :mod:`repro.fastpath.npkernels` — the bit-plane kernels, the one fast
-  path: packed chunk verification of every non-cloning schedule,
+  path: packed chunk verification of every schedule, cloning included,
   byte-identical in verdicts to the reference replay the tests compare
   it against.
 

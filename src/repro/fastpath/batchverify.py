@@ -1,16 +1,15 @@
-"""Mask-kernel batch verification of compiled schedules.
+"""Batch verification of compiled schedules and chunk streams.
 
-:func:`batch_verify` replays a :class:`~repro.fastpath.CompiledSchedule`
-one *time unit* at a time directly on the int64 columns, evolving the
-same bigint node-set masks the simulation layer uses
-(:meth:`~repro.topology.hypercube.Hypercube.neighbor_mask` /
-:meth:`~repro.topology.hypercube.Hypercube.spread_mask`), and checks the
-same predicates as :class:`~repro.analysis.verify.ScheduleVerifier`:
+:func:`batch_verify` (a :class:`~repro.fastpath.CompiledSchedule`) and
+:func:`batch_verify_chunks` (a chunk stream) check a schedule directly on
+its int64 columns, one *time unit* at a time, against the same
+predicates as :class:`~repro.analysis.verify.ScheduleVerifier`:
 structure, monotonicity, contiguity (at time-unit boundaries),
-completeness and intruder capture.  No ``Move`` objects, no per-move
-contamination-map dispatch: the per-move work is a handful of int ops on
-plain columns, and the expensive checks (departure rule, recontamination
-flood, connectivity BFS) run once per time unit on whole masks.
+completeness and intruder capture.  No ``Move`` objects are built.  Both
+run the bit-plane kernel :class:`~repro.fastpath.npkernels.NPChunkVerifier`
+for every strategy.  :class:`_ReplayState`, a per-move replay over flat
+integer tables, is the reference: it continues a block the kernel
+declines, and the parity tests compare the kernel against it.
 
 Verdict equivalence
 -------------------
@@ -36,7 +35,7 @@ when no contaminated node remains (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.chunkstream import ScheduleChunk
 from repro.errors import (
@@ -76,6 +75,11 @@ class BatchVerificationReport:
     makespan: int
     team_size: int
     violations: List[str] = field(default_factory=list)
+    #: blocks the bit-plane kernel declined and handed to the reference
+    #: replay (0 on every valid schedule; a stream stays on the
+    #: reference after its first decline).  How the verdict was reached,
+    #: not part of it: left out of ``==``.
+    declined: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -146,12 +150,12 @@ def _region_mask_from(in_region: bytearray) -> int:
 
 
 class _ReplayState:
-    """The batch replay's incremental state machine.
+    """The reference replay: a per-move incremental state machine.
 
+    It runs as the continuation of a block the kernel declines
+    (:meth:`_NPReplayAdapter._demote`) and as the parity tests' oracle.
     One instance verifies one schedule, fed as any number of column
-    blocks (:meth:`feed`) followed by :meth:`finish` — the monolithic
-    :func:`batch_verify` feeds a single block, the streaming
-    :func:`batch_verify_chunks` one block per chunk.  All state a time
+    blocks (:meth:`feed`) followed by :meth:`finish`.  All state a time
     unit can leave behind (guard counts, region tables, agent
     position/clock maps, the vacated list of a *still-open* unit, the
     contiguity trichotomy) lives on the instance, so a chunk boundary —
@@ -413,18 +417,17 @@ class _ReplayState:
 
 
 class _NPReplayAdapter:
-    """`_ReplayState`-shaped front for :class:`NPChunkVerifier`.
+    """The verifier of both batch entry points: :class:`NPChunkVerifier`
+    with the reference replay as its continuation.
 
-    Presents the same ``feed``/``finish`` surface, so the two batch
-    entry points drive the kernel and the reference replay through one
-    code path.  The kernel only ever *settles* state the reference would
-    accept silently; the moment it declines a block
-    (:class:`KernelFallback` — which covers every malformed or
-    invariant-violating schedule), this adapter rebuilds a
-    :class:`_ReplayState` from the last settled boundary and replays the
-    rows since then through it, so verdicts, violation strings and error
-    messages (global move indices included) are byte-identical to the
-    reference replay.
+    The kernel only ever *settles* state the reference would accept
+    silently; the moment it declines a block (:class:`KernelFallback` —
+    which covers every malformed or invariant-violating schedule), this
+    adapter rebuilds a :class:`_ReplayState` from the last settled
+    boundary and replays the rows since then through it, so verdicts,
+    violation strings and error messages (global move indices included)
+    are byte-identical to the reference replay.  ``declined`` counts
+    those hand-overs.
     """
 
     def __init__(
@@ -432,6 +435,7 @@ class _NPReplayAdapter:
         dimension: int,
         strategy: str,
         homebase: int,
+        uses_cloning: bool,
         team: int,
         topo: Hypercube,
     ) -> None:
@@ -442,12 +446,14 @@ class _NPReplayAdapter:
         self.dimension = dimension
         self.strategy = strategy
         self.homebase = homebase
+        self.uses_cloning = uses_cloning
         self.team = team
         self.topo = topo
         self._kernel: Optional[NPChunkVerifier] = NPChunkVerifier(
-            dimension, homebase, team
+            dimension, homebase, team, uses_cloning
         )
         self._replay: Optional[_ReplayState] = None
+        self.declined = 0
 
     def _demote(self) -> _ReplayState:
         """Build the reference continuation state and replay the declined rows."""
@@ -457,7 +463,7 @@ class _NPReplayAdapter:
             dimension=self.dimension,
             strategy=self.strategy,
             homebase=self.homebase,
-            uses_cloning=False,
+            uses_cloning=self.uses_cloning,
             team=self.team,
             topo=self.topo,
         )
@@ -476,6 +482,7 @@ class _NPReplayAdapter:
         pending = kernel.pending_rows()
         self._replay = state
         self._kernel = None
+        self.declined += 1
         state.feed(*pending)
         return state
 
@@ -509,9 +516,11 @@ class _NPReplayAdapter:
             except KernelFallback:
                 self._demote()
         if self._replay is not None:
-            return self._replay.finish(
+            report = self._replay.finish(
                 declared_team_size, agents_used, total_moves, makespan
             )
+            report.declined = self.declined
+            return report
         kernel = self._kernel
         assert kernel is not None
         if declared_team_size and agents_used > declared_team_size:
@@ -547,62 +556,25 @@ class _NPReplayAdapter:
         )
 
 
-_AnyReplay = Union[_ReplayState, _NPReplayAdapter]
-
-
-def _make_replay_state(
-    dimension: int,
-    strategy: str,
-    homebase: int,
-    uses_cloning: bool,
-    team: int,
-    topo: Hypercube,
-) -> _AnyReplay:
-    """The bit-plane kernel, or the reference replay for cloning schedules.
-
-    Clone materialization is mid-unit stateful in a way the segmented
-    kernels do not model (and cloning strategies are small — d≤8 in the
-    catalogue).
-    """
-    if uses_cloning:
-        return _ReplayState(dimension, strategy, homebase, True, team, topo)
-    return _NPReplayAdapter(dimension, strategy, homebase, team, topo)
-
-
 def batch_verify(
     compiled: CompiledSchedule,
     topology: Optional[Hypercube] = None,
     *,
     tracer: Optional[object] = None,
 ) -> BatchVerificationReport:
-    """Replay ``compiled`` per time unit with O(1)-per-move kernels.
+    """Verify ``compiled`` on the bit-plane kernel.
 
     ``tracer`` is duck-typed (anything with a ``span(name, **attrs)``
     context manager — this module must not import ``repro.obs``, lint
-    rule ``RPR220``); when given, the replay runs under a
-    ``fastpath.batch_verify`` span.
+    rule ``RPR220``); when given, the check runs under a
+    ``fastpath.batch_verify`` span, whose attrs carry the verdict and
+    the ``declined`` count.
 
-    Non-cloning schedules run on the bit-plane kernel
-    (:class:`~repro.fastpath.npkernels.NPChunkVerifier`), which hands
-    every block it cannot prove safe to the reference replay, so
-    verdicts, violation strings and error messages are those of
-    :class:`_ReplayState`.
-
-    The reference replay (:meth:`_ReplayState.feed`, which also runs
-    every cloning schedule) touches no Python objects beyond flat
-    integer tables: guard counts, agent
-    positions/clocks, a 0/1 decontaminated-region table, and — the key
-    trick — a per-node *contaminated-neighbour counter*.
-    Decontamination is monotone outside the (rare) violation path, so
-    each node's counter is decremented exactly once per neighbour over
-    the whole replay: O(n·d) total maintenance, and the departure rule
-    collapses to ``counter[v] != 0`` — one list index per vacated node
-    instead of a neighbourhood mask intersection whose cost grows with
-    ``n``.  The bigint mask machinery
-    (:meth:`~repro.topology.hypercube.Hypercube.spread_mask` BFS) only
-    runs on the paths where whole-region work is unavoidable: the
-    contiguity re-derivation after a non-extending event and the
-    recontamination flood, both of which never fire on a valid schedule.
+    Every strategy, cloning included, runs on
+    :class:`~repro.fastpath.npkernels.NPChunkVerifier`, which reads the
+    int64 columns without copying them and hands every block it cannot
+    prove safe to the reference replay :class:`_ReplayState`, so
+    verdicts, violation strings and error messages are the reference's.
 
     Structure malformation raises :class:`~repro.errors.ScheduleError`
     (and illegal clone placement :class:`~repro.errors.SimulationError`),
@@ -617,26 +589,17 @@ def batch_verify(
         ) as span:
             report = batch_verify(compiled, topology)
             span.attrs["ok"] = report.ok
+            span.attrs["declined"] = report.declined
             return report
-    topo = topology or Hypercube(compiled.dimension)
-    state = _make_replay_state(
+    state = _NPReplayAdapter(
         dimension=compiled.dimension,
         strategy=compiled.strategy,
         homebase=compiled.homebase,
         uses_cloning=compiled.uses_cloning,
         team=max(compiled.team_size, compiled.stats.agents_used, 1),
-        topo=topo,
+        topo=topology or Hypercube(compiled.dimension),
     )
-    if isinstance(state, _NPReplayAdapter):
-        # the kernel consumes the int64 columns zero-copy
-        state.feed(compiled.times, compiled.agents, compiled.srcs, compiled.dsts)
-    else:
-        state.feed(
-            compiled.times.tolist(),
-            compiled.agents.tolist(),
-            compiled.srcs.tolist(),
-            compiled.dsts.tolist(),
-        )
+    state.feed(compiled.times, compiled.agents, compiled.srcs, compiled.dsts)
     return state.finish(
         declared_team_size=compiled.team_size,
         agents_used=compiled.stats.agents_used,
@@ -687,13 +650,14 @@ def batch_verify_chunks(
             span.attrs["dimension"] = report.dimension
             span.attrs["moves"] = report.total_moves
             span.attrs["ok"] = report.ok
+            span.attrs["declined"] = report.declined
             return report
-    state: Optional[_AnyReplay] = None
+    state: Optional[_NPReplayAdapter] = None
     last: Optional[ScheduleChunk] = None
     for chunk in chunks:
         if state is None:
             header = chunk.header
-            state = _make_replay_state(
+            state = _NPReplayAdapter(
                 dimension=header.dimension,
                 strategy=header.strategy,
                 homebase=header.homebase,

@@ -1,9 +1,10 @@
 """Bit-plane kernels: packed node planes and the chunk verifier.
 
-These are the package's one fast path.  The per-move reference replay
-stays beside them: :class:`~repro.fastpath.batchverify._ReplayState`
-verifies cloning schedules, continues a block this module declines, and
-is what the parity tests compare the verifier against.
+These are the package's one fast path, and the verifier of every
+strategy, cloning included.  The per-move reference replay stays beside
+them: :class:`~repro.fastpath.batchverify._ReplayState` continues a
+block this module declines, and is what the parity tests compare the
+verifier against.
 
 Bit-plane kernels
 -----------------
@@ -22,8 +23,9 @@ composition of the single-bit swaps for the set bits of ``h``) and
 :class:`NPChunkVerifier` replays schedule chunks on these planes plus
 flat ``int64`` node/agent tables, with *no per-move or per-unit Python
 loop*.  Every row is checked once, in the block that brings it, with
-sorts and segmented reductions: row-local structure, per-agent chains,
-exact sequential guard occupancy and the adjacent-extension contiguity
+two ``np.sort`` calls on packed ``int64`` keys and segmented reductions:
+row-local structure, per-agent chains, exact sequential guard occupancy
+(clone materializations included) and the adjacent-extension contiguity
 invariant per newly cleaned node.  Only the departure rule waits, once
 per (node, time-unit) group, until the unit closes.  The detectors are
 exact on the invariant-holding fast path; the moment any of them fires —
@@ -41,7 +43,7 @@ Layering: imports only ``repro.errors`` and ``numpy`` (rule RPR220).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,19 +238,75 @@ _MAX_AGENT_ID = 1 << 22
 
 _NO_NODES = np.empty(0, dtype=np.int64)
 
+#: Occupancy event codes, the low two bits of the event key.  At one
+#: (node, row) a clone's materialization comes just before that row's
+#: departure; the row's arrival is at another node.
+_MATERIALIZE, _DEPART, _ARRIVE = 0, 1, 2
+_EVENT_DELTA = np.array([1, -1, 1], dtype=np.int64)
+
+
+class _Block(NamedTuple):
+    """The two sorted orders of one block, shared by its checks and by
+    the commit of each of its parts."""
+
+    #: (agent, row) order: the agents, their rows, the last row of
+    #: each agent's run, and the rows that materialize a clone
+    agents: Any
+    agent_rows: Any
+    agent_ends: Any
+    clones: Any
+    #: (node, row, code) order of the occupancy events: the node and
+    #: row of each, the guard count after it, and the last event of
+    #: each node's run
+    nodes: Any
+    event_rows: Any
+    guards: Any
+    node_ends: Any
+    #: each node the block arrives at (ascending) and its first arrival row
+    fresh: Any
+    fresh_rows: Any
+
+
+def _last_inside(ends: Any, inside: Any) -> Any:
+    """Flags of each run's last entry among those ``inside`` a row range.
+
+    Rows ascend within every run and ``ends`` flags each run's last
+    entry, so that entry is the one whose successor is outside the range
+    or starts the next run.
+    """
+    follows = np.zeros(len(inside), dtype=bool)
+    follows[:-1] = inside[1:]
+    return inside & (ends | ~follows)
+
+
+def _in_rows(rows: Any, lo: int, hi: int) -> Any:
+    """Flags of the ``rows`` in ``[lo, hi)``."""
+    return (rows >= lo) & (rows < hi)
+
 
 class NPChunkVerifier:
-    """Vectorized replay state for one (non-cloning) schedule.
+    """Vectorized replay state for one schedule, cloning or not.
 
     The per-node tables of the reference ``_ReplayState`` become flat
     numpy arrays (``guard`` counts, first-clean move index and time
     unit, the packed clean plane); agents live in dense position/clock
-    arrays.  :meth:`feed` checks and applies every row of a block once:
+    arrays.  :meth:`feed` checks and applies every row of a block once,
+    on two sorts of packed ``int64`` keys with power-of-two strides (so
+    decoding is shifts and masks):
 
-    * structure checks (row-local + per-agent chains) by stable sort;
-    * exact sequential guard occupancy as a per-node running minimum;
+    * an (agent, row) order for the per-agent chains and the agent
+      tables;
+    * a (node, row, event code) order for exact sequential guard
+      occupancy (a per-node running count), the departure groups and
+      each node's first arrival;
     * contiguity as the adjacent-extension invariant — every newly
       cleaned node needs a neighbour with a smaller first-clean index.
+
+    In a cloning schedule agent 0 starts alone on the homebase.  Every
+    other agent materializes at the source of its first row: a ``+1``
+    occupancy event just before that row's departure, accepted only if
+    the source was clean at that row (cleaned before the block, or by an
+    earlier arrival in it).
 
     Only the departure rule waits for its time unit to close, since a
     later row of the same unit may still re-guard a vacated node.  Per
@@ -264,15 +322,18 @@ class NPChunkVerifier:
     reference replay an identical mid-stream state.
     """
 
-    def __init__(self, dimension: int, homebase: int, team: int) -> None:
+    def __init__(
+        self, dimension: int, homebase: int, team: int, uses_cloning: bool
+    ) -> None:
         self.d = dimension
         self.n = 1 << dimension
         self.words = plane_words(self.n)
         self.home = homebase
         self.team = team
+        self.cloning = uses_cloning
         n = self.n
         self.guard = np.zeros(n, dtype=np.int64)
-        self.guard[homebase] = team
+        self.guard[homebase] = 1 if uses_cloning else team
         self.clean_order = np.full(n, _INF, dtype=np.int64)
         self.clean_order[homebase] = -1
         self.clean_unit = np.full(n, _INF, dtype=np.int64)
@@ -282,13 +343,14 @@ class NPChunkVerifier:
         cap = max(team, 1)
         self.pos = np.full(cap, -1, dtype=np.int64)
         self.clock = np.zeros(cap, dtype=np.int64)
+        if uses_cloning:
+            self.pos[0] = homebase
         self.moves_seen = 0
         #: the last settled time unit, and the open one (0 = none yet)
         self.last_unit = 0
         self.open_unit = 0
-        # per node, for the open unit: some agent departed, and the
-        # guard count after the node's latest event is zero
-        self._open_dep = np.zeros(n, dtype=bool)
+        # per node, for the open unit: the guard count after the node's
+        # latest event is zero (that event was then a departure)
         self._open_empty = np.zeros(n, dtype=bool)
         self._open_nodes: List[Any] = []
         # the rows fed since the last settled boundary, that boundary's
@@ -359,23 +421,23 @@ class NPChunkVerifier:
             self._grow_agents(int(a.max()))
         last = int(t[-1])
         try:
-            self._check_chains(t, a, s, dd)
-            groups = self._unit_groups(self._check_occupancy(t, s, dd))
+            block = self._check_block(t, a, s, dd)
+            groups = self._unit_groups(t, block)
+            cut = 0
             if last != self.open_unit:
                 # the block closes the open unit and every unit it opens
                 # before its last: apply their rows, settle them, and
                 # move the boundary to the start of unit `last`
                 cut = int(np.searchsorted(t, last, side="left"))
-                self._apply_moves(t[:cut], a[:cut], s[:cut], dd[:cut])
+                self._apply_moves(t, s, dd, block, 0, cut)
                 self._settle(groups, last)
                 self.last_unit = int(t[cut - 1]) if cut else self.open_unit
                 self.open_unit = last
                 self._boundary = self._save()
-                cols = tuple(c[cut:] for c in cols)
-                self._unsettled = [cols]
-            self._apply_moves(*cols)
-            node, unit, dep, empty = groups
-            self._note_open(node, dep, empty, unit == last)
+                self._unsettled = [tuple(c[cut:] for c in cols)]
+            self._apply_moves(t, s, dd, block, cut, len(t))
+            node, unit, empty = groups
+            self._note_open(node, empty, unit == last)
         except KernelFallback:
             self._decline()
 
@@ -396,11 +458,39 @@ class NPChunkVerifier:
         clock[:cap] = self.clock
         self.pos, self.clock = pos, clock
 
-    def _check_chains(self, t: Any, a: Any, s: Any, dd: Any) -> None:
-        """Per-agent structure: homebase starts, chained positions, one
+    def _check_block(self, t: Any, a: Any, s: Any, dd: Any) -> _Block:
+        """Sort the block twice and run every check but the departure
+        rule and the region's (those need the commit order)."""
+        m = len(t)
+        row_bits = max(1, (m - 1).bit_length())
+        rows = np.arange(m, dtype=np.int64)
+        agents, agent_rows, agent_ends, clones = self._check_chains(
+            t, a, s, dd, rows, row_bits
+        )
+        nodes, event_rows, codes, guards, node_ends = self._check_occupancy(
+            s, dd, clones, rows, row_bits
+        )
+        arrived = np.flatnonzero(codes == _ARRIVE)
+        an, ar = nodes[arrived], event_rows[arrived]
+        first = np.empty(len(an), dtype=bool)
+        first[0] = True
+        first[1:] = an[1:] != an[:-1]
+        return _Block(
+            agents, agent_rows, agent_ends, clones,
+            nodes, event_rows, guards, node_ends,
+            an[first], ar[first],
+        )
+
+    def _check_chains(
+        self, t: Any, a: Any, s: Any, dd: Any, rows: Any, row_bits: int
+    ) -> Tuple[Any, Any, Any, Any]:
+        """Per-agent structure on the (agent, row) order: homebase starts
+        (or, cloning, a clone's materialization), chained positions, one
         move per unit per agent (strictly increasing per-agent times)."""
-        order = np.argsort(a, kind="stable")
-        sa, st, ss, sd = a[order], t[order], s[order], dd[order]
+        keys = np.sort((a << row_bits) | rows)
+        sa = keys >> row_bits
+        order = keys & ((1 << row_bits) - 1)
+        st, ss, sd = t[order], s[order], dd[order]
         first = np.empty(len(sa), dtype=bool)
         first[0] = True
         first[1:] = sa[1:] != sa[:-1]
@@ -408,118 +498,139 @@ class NPChunkVerifier:
             chained = (~first[1:]) & ((ss[1:] != sd[:-1]) | (st[1:] <= st[:-1]))
             if bool(chained.any()):
                 raise KernelFallback()
-        prev_pos = self.pos[sa[first]]
-        prev_clock = self.clock[sa[first]]
+        starts = sa[first]
+        prev_pos = self.pos[starts]
+        placed = prev_pos >= 0
         bad_first = np.where(
-            prev_pos < 0,
-            ss[first] != self.home,
-            (ss[first] != prev_pos) | (st[first] <= prev_clock),
+            placed,
+            (ss[first] != prev_pos) | (st[first] <= self.clock[starts]),
+            (ss[first] != self.home) & (not self.cloning),
         )
         if bool(bad_first.any()):
             raise KernelFallback()
+        clones = order[first][~placed] if self.cloning else _NO_NODES
+        ends = np.empty(len(sa), dtype=bool)
+        ends[-1] = True
+        ends[:-1] = first[1:]
+        return sa, order, ends, clones
 
-    def _check_occupancy(self, t: Any, s: Any, dd: Any) -> Tuple[Any, ...]:
-        """Exact sequential guard occupancy as a segmented running min.
+    def _check_occupancy(
+        self, s: Any, dd: Any, clones: Any, rows: Any, row_bits: int
+    ) -> Tuple[Any, Any, Any, Any, Any]:
+        """Exact sequential guard occupancy as a segmented running count.
 
-        Each move emits a ``-1`` (src) and ``+1`` (dst) event keyed by
-        its column index; per node, the running count from the current
-        guard must never dip below zero — precisely the reference
-        replay's ``no agent on src to move`` check, in column order.
-        Returns the sorted event arrays for the departure rule.
+        Each move emits a departure at its src and an arrival at its
+        dst, and each clone a materialization at its src; one sort of
+        the (node, row, code) keys puts every node's events in the
+        reference replay's order.  Per node, the running count from the
+        current guard must never dip below zero — precisely the
+        reference's ``no agent on src to move`` check, in column order.
         """
-        m = len(t)
-        idx = np.arange(m, dtype=np.int64)
-        ev_node = np.concatenate([s, dd])
-        ev_delta = np.concatenate(
-            [np.full(m, -1, dtype=np.int64), np.ones(m, dtype=np.int64)]
+        shift = row_bits + 2
+        tagged = rows << 2
+        keys = np.concatenate(
+            [
+                (s << shift) | tagged | _DEPART,
+                (dd << shift) | tagged | _ARRIVE,
+                (s[clones] << shift) | (clones << 2) | _MATERIALIZE,
+            ]
         )
-        ev_key = np.concatenate([idx, idx])
-        ev_unit = np.concatenate([t, t])
-        order = np.lexsort((ev_key, ev_node))
-        en, edel, eu = ev_node[order], ev_delta[order], ev_unit[order]
-        seg_start = np.empty(2 * m, dtype=bool)
-        seg_start[0] = True
-        seg_start[1:] = en[1:] != en[:-1]
-        seg_idx = np.nonzero(seg_start)[0]
-        cs = np.cumsum(edel)
-        seg_base = cs[seg_idx] - edel[seg_idx]  # cumsum just before each segment
-        seg_id = np.cumsum(seg_start) - 1
-        running = self.guard[en] + cs - seg_base[seg_id]
-        if bool((np.minimum.reduceat(running, seg_idx) < 0).any()):
+        keys.sort()
+        nodes = keys >> shift
+        event_rows = (keys >> 2) & ((1 << row_bits) - 1)
+        codes = keys & 3
+        delta = _EVENT_DELTA[codes]
+        starts = np.empty(len(keys), dtype=bool)
+        starts[0] = True
+        starts[1:] = nodes[1:] != nodes[:-1]
+        seg_idx = np.flatnonzero(starts)
+        cs = np.cumsum(delta)
+        # each node's guard at the block start, less the deltas before
+        # its run: added to the cumulative sum it is the running count
+        offset = self.guard[nodes[seg_idx]] - cs[seg_idx] + delta[seg_idx]
+        guards = cs + np.repeat(offset, np.diff(np.append(seg_idx, len(keys))))
+        if int(guards.min()) < 0:
             raise KernelFallback()
-        return en, edel, eu, running, seg_start
+        ends = np.empty(len(keys), dtype=bool)
+        ends[-1] = True
+        ends[:-1] = starts[1:]
+        return nodes, event_rows, codes, guards, ends
 
     @staticmethod
-    def _unit_groups(ev: Tuple[Any, ...]) -> Tuple[Any, Any, Any, Any]:
+    def _unit_groups(t: Any, block: _Block) -> Tuple[Any, Any, Any]:
         """Per (node, unit) group of the sorted events: the node, the
-        unit, whether an agent departed, and whether the node is
-        unguarded after the group's last event."""
-        en, edel, eu, running, node_start = ev
-        unit_change = np.empty(len(en), dtype=bool)
-        unit_change[0] = True
-        unit_change[1:] = eu[1:] != eu[:-1]
-        g_idx = np.nonzero(node_start | unit_change)[0]
-        g_end = np.append(g_idx[1:], len(en)) - 1
-        has_dep = np.add.reduceat((edel < 0).astype(np.int64), g_idx) > 0
-        return en[g_idx], eu[g_idx], has_dep, running[g_end] == 0
+        unit, and whether the node is unguarded after the group's last
+        event.  Running counts never dip below zero, so a group that
+        ends unguarded ends on a departure: the reference's vacated
+        node."""
+        units = t[block.event_rows]
+        ends = block.node_ends.copy()
+        ends[:-1] |= units[1:] != units[:-1]
+        g_end = np.flatnonzero(ends)
+        return block.nodes[g_end], units[g_end], block.guards[g_end] == 0
 
-    def _note_open(self, node: Any, dep: Any, empty: Any, mask: Any) -> None:
+    def _note_open(self, node: Any, empty: Any, mask: Any) -> None:
         """Fold the masked groups, all of the open unit, into its flags."""
         nodes = node[mask]
         if len(nodes):
-            self._open_dep[nodes] |= dep[mask]
             self._open_empty[nodes] = empty[mask]
             self._open_nodes.append(nodes)
 
     def _close_open_unit(self) -> Any:
-        """The nodes the open unit leaves vacated; clears its flags."""
+        """The nodes the open unit leaves vacated.  Its flags need no
+        clearing: a later unit writes a node's flag before reading it."""
         if not self._open_nodes:
             return _NO_NODES
         nodes = np.concatenate(self._open_nodes)
         self._open_nodes = []
-        vacated = nodes[self._open_dep[nodes] & self._open_empty[nodes]]
-        self._open_dep[nodes] = False
-        return vacated
+        return nodes[self._open_empty[nodes]]
 
-    def _settle(self, groups: Tuple[Any, Any, Any, Any], last: int) -> None:
+    def _settle(self, groups: Tuple[Any, Any, Any], last: int) -> None:
         """The departure rule for every unit a block closes: the open
         unit, whose earlier blocks live in the flags, and each unit the
         block opens before ``last``."""
-        node, unit, dep, empty = groups
-        self._note_open(node, dep, empty, unit == self.open_unit)
+        node, unit, empty = groups
+        self._note_open(node, empty, unit == self.open_unit)
         vacated = self._close_open_unit()
-        inner = dep & empty & (unit != self.open_unit) & (unit != last)
+        inner = empty & (unit != self.open_unit) & (unit != last)
         self._check_departures(
             np.concatenate([vacated, node[inner]]),
             np.concatenate([np.full(len(vacated), self.open_unit), unit[inner]]),
         )
 
-    def _apply_moves(self, t: Any, a: Any, s: Any, dd: Any) -> None:
-        """Commit guard deltas, agent tables and newly cleaned nodes."""
-        if not len(t):
+    def _apply_moves(
+        self, t: Any, s: Any, dd: Any, block: _Block, lo: int, hi: int
+    ) -> None:
+        """Commit rows ``[lo, hi)`` of the block: agent tables, guard
+        counts and newly cleaned nodes, checking the region's growth and
+        each clone's ground on the way."""
+        if lo == hi:
             return
-        # agent tables: last row of each agent's segment wins
-        order = np.argsort(a, kind="stable")
-        sa, st, sd = a[order], t[order], dd[order]
-        last = np.empty(len(sa), dtype=bool)
-        last[-1] = True
-        last[:-1] = sa[1:] != sa[:-1]
-        self.pos[sa[last]] = sd[last]
-        self.clock[sa[last]] = st[last]
-        # guard counts (scattered in O(len(t)): no per-block O(n) temporaries)
-        np.add.at(self.guard, dd, 1)
-        np.subtract.at(self.guard, s, 1)
+        base = self.moves_seen - lo  # global index of the block's row 0
+        nodes, at, clones = block.fresh, block.fresh_rows, block.clones
+        agent_last, node_last = block.agent_ends, block.node_ends
+        if hi - lo < len(t):
+            agent_last = _last_inside(agent_last, _in_rows(block.agent_rows, lo, hi))
+            node_last = _last_inside(node_last, _in_rows(block.event_rows, lo, hi))
+            part = _in_rows(at, lo, hi)
+            nodes, at = nodes[part], at[part]
+            clones = clones[_in_rows(clones, lo, hi)]
+        rows = block.agent_rows[agent_last]
+        self.pos[block.agents[agent_last]] = dd[rows]
+        self.clock[block.agents[agent_last]] = t[rows]
+        self.guard[block.nodes[node_last]] = block.guards[node_last]
         # newly cleaned nodes: first arrival per destination
-        uniq, first_idx = np.unique(dd, return_index=True)
-        new = self.clean_order[uniq] == _INF
-        nodes, at = uniq[new], first_idx[new]
+        new = self.clean_order[nodes] == _INF
+        nodes, at = nodes[new], at[new]
         if len(nodes):
-            self.clean_order[nodes] = self.moves_seen + at
+            self.clean_order[nodes] = base + at
             self.clean_unit[nodes] = t[at]
             # adjacent extension: every new node needs a neighbour
             # cleaned strictly earlier (the reference contam_count[dst] < d
             # test) — in-block assignments above participate, so chains
-            # of same-block extensions validate front to back
+            # of same-block extensions validate front to back.  `>` here
+            # would be equivalent: first-clean indices are distinct per
+            # node, so a neighbour never ties a new node's index.
             nb_min = np.full(len(nodes), _INF, dtype=np.int64)
             for p in range(self.d):
                 nb_min = np.minimum(nb_min, self.clean_order[nodes ^ (1 << p)])
@@ -528,7 +639,10 @@ class NPChunkVerifier:
             bits = np.left_shift(np.uint64(1), (nodes & 63).astype(np.uint64))
             np.bitwise_or.at(self.clean_plane, nodes >> 6, bits)
             self.region_size += len(nodes)
-        self.moves_seen += len(t)
+        # a clone materializes only on ground clean before its row
+        if bool((self.clean_order[s[clones]] >= base + clones).any()):
+            raise KernelFallback()
+        self.moves_seen += hi - lo
 
     def _check_departures(self, cv: Any, cu: Any) -> None:
         """The departure rule for nodes ``cv`` vacated at the end of units ``cu``.

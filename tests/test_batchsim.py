@@ -212,7 +212,9 @@ class TestTimelineVsEngine:
 
 
 class TestTimelineVsContaminationMap:
-    @pytest.mark.parametrize("name", DELAY_STRATEGIES)
+    # the map below deploys the whole team on the homebase up front, so
+    # it models the non-cloning strategies only
+    @pytest.mark.parametrize("name", [s for s in DELAY_STRATEGIES if s != "cloning"])
     def test_delayed_suffix_masks_match_the_map(self, name):
         """A late agent recontaminates; after every unit the timeline's
         masks must be those of a lenient ContaminationMap fed the same

@@ -12,7 +12,13 @@ indices and messages, same batch statistics.  Three layers of evidence:
   all strategies up to d=9: reports compare equal field-for-field.  A
   deterministic sweep of the *delayed suffix* fault (one agent's moves
   from one row on, late by k units) recontaminates often enough to pin
-  the departure rule;
+  the departure rule and, on cloning, the clean-ground check for clones;
+  an exhaustive sweep of the eight point faults at every row pins the
+  agent chains, and a stream whose header team is too small pins the
+  occupancy floor;
+* **declined blocks** — the kernel hands no block of a valid schedule to
+  the reference replay (up to d=14), and at least one block of every
+  schedule it reports non-monotone or disconnected;
 * **batch-engine parity** — ``run_batch``'s one column pass per shard
   against the campaign scored one trial at a time (the per-homebase
   reference loop of ``tests/test_batchsim.py``, every draw from its
@@ -39,6 +45,7 @@ from repro.exec import parallel_sweep
 from repro.fastpath import CompiledSchedule, batch_verify, batch_verify_chunks, batchsim
 from repro.fastpath.batchsim import BatchResult, BatchScenarioSpec, run_batch
 from repro.fastpath.batchverify import _ReplayState
+from repro.obs.trace import Tracer
 from repro.topology.hypercube import Hypercube
 
 ALL_STRATEGIES = sorted(available_strategies())
@@ -298,8 +305,11 @@ FAULT_MODES = [
     "teleport", "time_warp", "self_loop", "drop", "duplicate", "swap", "early", "agent_bump",
 ]
 
+#: dimensions of the exhaustive point-fault sweep
+FAULT_DIMENSIONS = range(2, 5)
+
 #: strategies, dimensions and lags of the delayed-suffix sweep
-DELAY_STRATEGIES = ["clean", "visibility", "synchronous"]
+DELAY_STRATEGIES = ["clean", "visibility", "synchronous", "cloning"]
 DELAY_DIMENSIONS = range(2, 6)
 DELAY_LAGS = (1, 2, 4)
 
@@ -328,6 +338,23 @@ def delayed_suffix_schedules(name: str):
         for idx in range(len(base.times)):
             for lag in DELAY_LAGS:
                 yield (d, idx, lag), delayed_suffix(base, idx, lag)
+
+
+def fault_schedules(name: str):
+    """Every point fault of one strategy at every row, d=2..4."""
+    for d in FAULT_DIMENSIONS:
+        base = compiled_for(name, d)
+        for idx in range(len(base.times) - 1):
+            for mode in FAULT_MODES:
+                yield (d, idx, mode), _inject(base, mode, idx)
+
+
+def _failing_report_declined(outcome) -> bool:
+    """A non-monotone or disconnected report must come from the
+    reference replay: the kernel settles neither."""
+    if outcome[0] != "report" or (outcome[1].monotone and outcome[1].contiguous):
+        return True
+    return outcome[1].declined >= 1
 
 
 class TestVerifierParity:
@@ -384,6 +411,48 @@ class TestVerifierParity:
             recontaminated += reference[0] == "report" and not reference[1].monotone
         assert recontaminated > 0
 
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_every_fault_at_every_row(self, name):
+        """The eight point faults at every row of every strategy, d=2..4,
+        monolithic and chunked: the kernel's outcome is the reference's,
+        and every failing report was reached through a declined block."""
+        for case, compiled in fault_schedules(name):
+            reference = _outcome(lambda: replay_verify(compiled))
+            fast = _outcome(lambda: batch_verify(compiled))
+            assert fast == reference, case
+            chunked = _outcome(lambda: batch_verify_chunks(compiled.iter_chunks(7)))
+            assert chunked == _outcome(
+                lambda: replay_verify_chunks(compiled.iter_chunks(7))
+            ), case
+            assert _failing_report_declined(fast), case
+            assert _failing_report_declined(chunked), case
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_header_team_too_small(self, name):
+        """A stream header that declares fewer agents than leave the
+        homebase: the kernel's occupancy floor must decline the block
+        where the homebase runs out, so the reference raises."""
+        cases = 0
+        for d in range(2, 6):
+            base = compiled_for(name, d)
+            for team in range(1, base.team_size):
+                short = dataclasses.replace(base, team_size=team)
+                for chunk_moves in (1, 7, len(base.times)):
+                    fast = _outcome(
+                        lambda: batch_verify_chunks(short.iter_chunks(chunk_moves))
+                    )
+                    assert fast == _outcome(
+                        lambda: replay_verify_chunks(short.iter_chunks(chunk_moves))
+                    ), (d, team, chunk_moves)
+                    if not base.uses_cloning:
+                        # a clone adds its own guard: cloning runs out of
+                        # team only at the verdict
+                        assert fast == (
+                            "raise", "SimulationError", f"no agent on {base.homebase} to move"
+                        ), (d, team, chunk_moves)
+                    cases += 1
+        assert cases > 0
+
     def test_open_unit_structure_error_at_every_chunk_size(self):
         """A malformed row in the time unit a chunk ends on is reported
         in that chunk, before the stream's own time-order check on the
@@ -399,6 +468,76 @@ class TestVerifierParity:
             "ScheduleError",
             "move #16: agent 0 moves from 1 but is at 5",
         )
+
+
+class TestDeclinedBlocks:
+    """The kernel's hand-overs to the reference replay are counted, so a
+    detector that declines valid schedules shows as a failure, not only
+    as lost speed."""
+
+    @QUICK
+    @given(
+        name=st.sampled_from(ALL_STRATEGIES),
+        d=st.integers(min_value=0, max_value=9),
+        chunk_moves=st.integers(min_value=1, max_value=5000),
+    )
+    def test_valid_schedules_never_decline_d_le_9(self, name, d, chunk_moves):
+        compiled = compiled_for(name, d)
+        for report in (
+            batch_verify(compiled),
+            batch_verify_chunks(compiled.iter_chunks(chunk_moves)),
+        ):
+            assert report.ok
+            assert report.declined == 0
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_valid_schedules_never_decline_at_scale(self, name):
+        """d=12 at chunk sizes 7 and 4,096, d=14 in 65,536-move chunks."""
+        strategy = get_strategy(name)
+        for d, sizes in ((12, (7, 4096)), (14, (65536,))):
+            for chunk_moves in sizes:
+                report = batch_verify_chunks(
+                    strategy.generate_chunks(Hypercube(d), chunk_moves)
+                )
+                assert report.ok, (d, chunk_moves, report.violations)
+                assert report.declined == 0, (d, chunk_moves)
+
+    @pytest.mark.parametrize("name", ["clean", "level-sweep"])
+    def test_monolithic_block_wider_than_a_chunk(self, name):
+        """``batch_verify`` feeds a whole d=14 schedule (about 200,000
+        rows) as one kernel block: the chunked stream's verdict and the
+        reference's, with no decline; and a delayed suffix in the middle
+        of that block reaches the reference's verdict through one."""
+        compiled = CompiledSchedule.from_chunks(
+            get_strategy(name).generate_chunks(Hypercube(14), 65536)
+        )
+        assert len(compiled.times) > 65536
+        whole = batch_verify(compiled)
+        chunked = batch_verify_chunks(compiled.iter_chunks(65536))
+        assert whole.ok
+        assert whole == chunked == replay_verify(compiled)
+        assert (whole.declined, chunked.declined) == (0, 0)
+        late = delayed_suffix(compiled, len(compiled.times) // 2, 2)
+        fast = _outcome(lambda: batch_verify(late))
+        assert fast == _outcome(lambda: replay_verify(late))
+        assert fast[0] == "report" and fast[1].declined == 1
+
+    def test_decline_count_on_the_spans(self):
+        """Both entry points put the count on their span."""
+        compiled = compiled_for("cloning", 4)
+        broken = _inject(compiled, "drop", 6)  # recontaminates nodes 1 and 0
+        tracer = Tracer(run_id="t-declined")
+        good = batch_verify(compiled, tracer=tracer)
+        bad = batch_verify_chunks(broken.iter_chunks(4), tracer=tracer)
+        assert not bad.monotone
+        assert (good.declined, bad.declined) == (0, 1)
+        attrs = {s.name: s.attrs for s in tracer.spans}
+        assert attrs["fastpath.batch_verify"]["declined"] == 0
+        assert attrs["fastpath.batch_verify_chunks"]["declined"] == 1
+
+    def test_declined_is_left_out_of_equality(self):
+        report = batch_verify(compiled_for("cloning", 5))
+        assert dataclasses.replace(report, declined=3) == report
 
 
 # --------------------------------------------------------------------- #
