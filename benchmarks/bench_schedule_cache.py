@@ -1,4 +1,4 @@
-"""Perf — compiled schedules, the schedule cache, and the batch verifier.
+"""Perf — columnar schedules, the schedule cache, and the batch verifier.
 
 Not a paper artifact: quantifies what the ``repro.fastpath`` plane buys.
 Three measurements, one JSON artifact:
@@ -53,8 +53,9 @@ def _flat(rows):
 
 def compile_ratios():
     """Per-strategy cache-entry-vs-JSON sizes at the largest grid dimension."""
+    from repro.core.chunkstream import chunks_from_schedule, concat_chunks
     from repro.core.strategy import get_strategy
-    from repro.fastpath import CompiledSchedule, ScheduleCache
+    from repro.fastpath import ScheduleCache
 
     d = max(DIMENSIONS)
     out = {}
@@ -63,17 +64,17 @@ def compile_ratios():
         for name in STRATEGIES:
             strategy = get_strategy(name)
             schedule = strategy.run(d)
-            compiled = CompiledSchedule.from_schedule(schedule)
+            whole = concat_chunks(chunks_from_schedule(schedule))
             entry_bytes = cache.store(
-                cache.fingerprint_of(strategy, d), compiled
+                cache.fingerprint_of(strategy, d), whole
             ).stat().st_size
             json_bytes = len(schedule.to_json().encode("utf-8"))
             out[name] = {
                 "dimension": d,
-                "moves": compiled.total_moves,
+                "moves": len(whole),
                 "entry_bytes": entry_bytes,
                 "json_bytes": json_bytes,
-                "bytes_per_move": round(entry_bytes / max(compiled.total_moves, 1), 2),
+                "bytes_per_move": round(entry_bytes / max(len(whole), 1), 2),
                 "json_over_entry": round(json_bytes / entry_bytes, 2),
             }
     return out
@@ -93,11 +94,12 @@ def timed_sweep(cache_dir):
 def timed_verify():
     """Classic vs. batch verification of one large schedule."""
     from repro.analysis.verify import verify_schedule
+    from repro.core.chunkstream import chunks_from_schedule, concat_chunks
     from repro.core.strategy import get_strategy
-    from repro.fastpath import CompiledSchedule, batch_verify
+    from repro.fastpath import batch_verify
 
     schedule = get_strategy(VERIFY_STRATEGY).run(VERIFY_DIMENSION)
-    compiled = CompiledSchedule.from_schedule(schedule)
+    whole = concat_chunks(chunks_from_schedule(schedule))
 
     classic_best = batch_best = float("inf")
     for _ in range(REPEATS):
@@ -105,12 +107,12 @@ def timed_verify():
         classic = verify_schedule(schedule)
         classic_best = min(classic_best, time.perf_counter() - start)
         start = time.perf_counter()
-        batch = batch_verify(compiled)
+        batch = batch_verify(whole)
         batch_best = min(batch_best, time.perf_counter() - start)
 
     for field in ("monotone", "contiguous", "complete", "intruder_captured", "ok"):
         assert getattr(classic, field) == getattr(batch, field), field
-    return classic_best, batch_best, compiled.total_moves
+    return classic_best, batch_best, len(whole)
 
 
 def test_warm_rows_match_cacheless():

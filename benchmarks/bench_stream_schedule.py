@@ -10,13 +10,13 @@ measurements, one JSON artifact:
   objects — more memory than the whole streaming run by orders of
   magnitude;
 * ``memory``       — ``tracemalloc`` peaks of the monolithic pipeline
-  (generate → compile → verify) vs. the streaming one at a mid
+  (generate → assemble the whole chunk → verify) vs. the streaming one at a mid
   dimension, asserting the streaming peak is a fraction of the
   monolithic one;
 * ``chunked_cache`` — cold (generate + stream-to-disk) vs. warm (stream
   off the chunked cache entry) wall time with the per-chunk hit/store
-  counters, asserting the warm stream compiles to a ``CompiledSchedule``
-  equal to the cold one.
+  counters, asserting the warm stream assembles to a whole-schedule
+  chunk equal to the cold one.
 
 Run ``python benchmarks/bench_stream_schedule.py`` to measure and write
 ``BENCH_stream_schedule.json`` at the repo root.  Set
@@ -86,12 +86,9 @@ def stream_verify():
 
 def memory_comparison():
     """tracemalloc peaks: monolithic vs. streaming pipeline."""
+    from repro.core.chunkstream import chunks_from_schedule, concat_chunks
     from repro.core.strategy import get_strategy
-    from repro.fastpath import (
-        CompiledSchedule,
-        batch_verify,
-        batch_verify_chunks,
-    )
+    from repro.fastpath import batch_verify, batch_verify_chunks
     from repro.topology.hypercube import Hypercube
 
     strategy = get_strategy(STREAM_STRATEGY)
@@ -99,7 +96,7 @@ def memory_comparison():
 
     tracemalloc.start()
     mono_report = batch_verify(
-        CompiledSchedule.from_schedule(strategy.generate(cube))
+        concat_chunks(chunks_from_schedule(strategy.generate(cube)))
     )
     _, mono_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -122,8 +119,9 @@ def memory_comparison():
 
 def chunked_cache():
     """Cold stream-to-disk vs. warm stream-off-disk, with counters."""
+    from repro.core.chunkstream import concat_chunks
     from repro.core.strategy import get_strategy
-    from repro.fastpath import CompiledSchedule, ScheduleCache
+    from repro.fastpath import ScheduleCache
 
     strategy = get_strategy(STREAM_STRATEGY)
     with tempfile.TemporaryDirectory() as tmp:
@@ -135,9 +133,7 @@ def chunked_cache():
         warm = list(cache.stream_chunks(strategy, CACHE_DIMENSION, chunk_moves=CHUNK_MOVES))
         warm_seconds = time.perf_counter() - start
         stats = cache.stats.as_dict()
-    assert CompiledSchedule.from_chunks(iter(warm)) == (
-        CompiledSchedule.from_chunks(iter(cold))
-    ), "warm chunk stream diverged from cold"
+    assert concat_chunks(warm) == concat_chunks(cold), "warm chunk stream diverged from cold"
     assert stats["chunk_stores"] == len(cold) and stats["chunk_hits"] == len(warm)
     return {
         "dimension": CACHE_DIMENSION,

@@ -1,7 +1,8 @@
 """Verifier mutants that once survived the test suite must stay killed.
 
-Each mutant below is a one-line change to the bit-plane verifier that
-passed every test at some point.  A test was added for each one; this
+Each mutant below is a one-line change to the batch verifier (the
+bit-plane kernel or its entry points) that passed every test at some
+point.  A test was added for each one; this
 script keeps it that way.  For every mutant it copies ``src/``,
 ``tests/``, ``conftest.py`` and ``pyproject.toml`` to a temporary
 directory, replaces the one target line there (matched exactly, leading
@@ -36,6 +37,7 @@ from typing import Sequence, Tuple
 
 REPO = Path(__file__).resolve().parents[2]
 KERNEL = "src/repro/fastpath/npkernels.py"
+ENTRY = "src/repro/fastpath/batchverify.py"
 PARITY = "tests/test_npkernels.py::TestVerifierParity"
 DECLINED = "tests/test_npkernels.py::TestDeclinedBlocks"
 
@@ -77,6 +79,13 @@ MUTANTS = (
         "if bool((self.clean_order[s[clones]] >= base + clones).any()):",
         "if False:",
         (f"{PARITY}::test_delayed_suffix_every_row[cloning]",),
+    ),
+    Mutant(
+        "whole-schedule-team-seed",
+        ENTRY,
+        "team=max(header.team_size, agents_used, 1),",
+        "team=max(header.team_size, 1),",
+        (f"{PARITY}::test_whole_schedule_team_too_small",),
     ),
 )
 

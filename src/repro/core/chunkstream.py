@@ -5,19 +5,24 @@ materialized :class:`~repro.core.schedule.Schedule` at d=18 is millions
 of Python ``Move`` objects — hundreds of megabytes before any consumer
 touches the first move.  This module defines the streaming alternative:
 a schedule as an ordered sequence of :class:`ScheduleChunk` blocks, each
-a fixed-size slice of the six-column struct-of-arrays layout the
-compiled form (:class:`~repro.fastpath.compiled.CompiledSchedule`) uses,
-with the running :class:`~repro.core.schedule.ScheduleAggregates` folded
-per chunk.  A strategy that can emit its moves incrementally
+a fixed-size slice of six struct-of-arrays int64 columns (time, agent,
+src, dst, kind, role), with the running
+:class:`~repro.core.schedule.ScheduleAggregates` folded per chunk.  A
+strategy that can emit its moves incrementally
 (:meth:`~repro.core.strategy.Strategy.stream_moves`) produces the whole
 stream in ``O(chunk + frontier)`` memory; every downstream consumer —
 the batch verifier, the metric collector, the schedule cache's chunked
 blob format — folds chunk by chunk without ever holding the schedule.
 
+A caller that does need the whole schedule in columns holds it as one
+chunk: :func:`concat_chunks` assembles any stream into the single final
+chunk (index 0, ``is_last``), :func:`rechunk` slices it back into a
+stream and :func:`chunks_to_schedule` turns it into ``Move`` objects.
+
 Stream contract
 ---------------
 * chunks arrive in replay order: concatenating the columns of every
-  chunk yields exactly the compiled form of the monolithic schedule
+  chunk yields exactly the columns of the monolithic schedule
   (byte-identical — the collector tests pin this);
 * every chunk carries the stream *header* (dimension, strategy,
   homebase, cloning flag and the exact ``team_size``, which the paper's
@@ -75,6 +80,7 @@ __all__ = [
     "stream_from_schedule",
     "chunks_from_schedule",
     "rechunk",
+    "concat_chunks",
     "chunks_to_schedule",
 ]
 
@@ -105,11 +111,11 @@ Block = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.nda
 #: stream footer (``team_size`` and ``metadata``), like ``stream_moves``
 BlockStream = Generator[Block, None, Dict[str, object]]
 
-# Canonical enum <-> small-int code tables, shared with the compiled
-# form (repro.fastpath.compiled imports these — fastpath sits above the
-# core plane, so the dependency points downward).  The *byte* formats
-# never store these indices bare: their headers record the enum value
-# strings in index order, so blobs survive enum reordering.
+# Canonical enum <-> small-int code tables of the kind and role columns
+# (the schedule cache imports these — fastpath sits above the core
+# plane, so the dependency points downward).  The *byte* format never
+# stores these indices bare: its header records the enum value strings
+# in index order, so entries survive enum reordering.
 KINDS: Tuple[MoveKind, ...] = tuple(MoveKind)
 ROLES: Tuple[AgentRole, ...] = tuple(AgentRole)
 KIND_CODE: Dict[MoveKind, int] = {kind: i for i, kind in enumerate(KINDS)}
@@ -142,11 +148,12 @@ class ChunkStreamHeader:
 class ScheduleChunk:
     """One fixed-size columnar block of a schedule stream.
 
-    The six parallel ``array('q')`` columns are the exact
-    :class:`~repro.fastpath.compiled.CompiledSchedule` layout for the
-    slice ``[start_move, start_move + len(self))`` of the move list;
+    The six parallel ``array('q')`` columns hold the slice
+    ``[start_move, start_move + len(self))`` of the move list;
     ``stats_so_far`` aggregates every move up to the end of this chunk.
     Only the final chunk (``is_last``) carries the generator metadata.
+    A whole schedule in columns is the one-chunk stream
+    :func:`concat_chunks` returns.
     """
 
     header: ChunkStreamHeader
@@ -171,7 +178,7 @@ class ScheduleChunk:
         return sum(col.itemsize * len(col) for col in self.columns().values())
 
     def columns(self) -> Dict[str, "array[int]"]:
-        """The column buffers, keyed by compiled-form column name."""
+        """The column buffers, keyed by on-disk column name."""
         return {
             "time": self.times,
             "agent": self.agents,
@@ -715,7 +722,9 @@ def rechunk(
     ``stats_so_far``, and nothing is folded.  Any other stream goes
     through :func:`assemble_chunks`, which folds the re-sliced blocks.
     Used by the cache's warm path to serve any requested ``chunk_moves``
-    from the stored block size.
+    from the stored block size, and to slice a whole schedule
+    (``rechunk((whole,), chunk_moves)``, see :func:`concat_chunks`) into
+    the stream its producer would have given.
 
     The input must keep the stream contract: every chunk but the last
     holds the same number of moves.  Whether it is already cut at
@@ -784,11 +793,39 @@ def _reslice_blocks(chunks: Iterator[ScheduleChunk]) -> BlockStream:
     raise ScheduleError("torn chunk stream: no final chunk seen")
 
 
+def concat_chunks(chunks: Iterable[ScheduleChunk]) -> ScheduleChunk:
+    """Assemble a chunk stream into the whole schedule as one chunk.
+
+    Column concatenation only: the result is the stream's single final
+    chunk (index 0, ``is_last``) with every row, the final aggregate
+    block and the metadata — how the pipeline holds a producer's or a
+    cache entry's stream whole.  Raises
+    :class:`~repro.errors.ScheduleError` on a torn stream (no chunks, or
+    no final chunk).
+    """
+    cols = _new_columns()
+    header: Optional[ChunkStreamHeader] = None
+    last: Optional[ScheduleChunk] = None
+    for chunk in chunks:
+        header = chunk.header
+        for buf, col in zip(cols, chunk.columns().values()):
+            buf.extend(col)
+        if chunk.is_last:
+            last = chunk
+    if header is None:
+        raise ScheduleError("empty chunk stream (no chunks at all)")
+    if last is None:
+        raise ScheduleError("torn chunk stream: no final chunk seen")
+    return _chunk(header, 0, 0, cols, last.stats_so_far, is_last=True, metadata=last.metadata)
+
+
 def chunks_to_schedule(chunks: Iterable[ScheduleChunk]) -> Schedule:
     """Materialize a chunk stream back into a full :class:`Schedule`.
 
     The inverse collector (tests, and callers that genuinely need
-    ``Move`` objects from a streamed source).  Raises on a torn stream.
+    ``Move`` objects from a streamed source or a whole chunk).  The
+    final chunk's aggregate block is handed to the schedule, so it is
+    never rescanned.  Raises on a torn stream.
     """
     it = iter(chunks)
     try:

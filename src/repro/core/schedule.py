@@ -116,9 +116,10 @@ class ScheduleAggregates:
     ``Sweep.run`` reads four different aggregates per cell; computing them
     independently re-walked the full move list four times.  This block is
     produced by a single :func:`scan_moves` pass and memoized on the
-    :class:`Schedule`; it is also the stats header of the columnar
-    :class:`~repro.fastpath.CompiledSchedule`, so a cached schedule can be
-    measured without touching its move columns at all.
+    :class:`Schedule`; it is also the running ``stats_so_far`` block of
+    every :class:`~repro.core.chunkstream.ScheduleChunk`, so a cached or
+    streamed schedule is measured from its final chunk without touching
+    its move columns at all.
     """
 
     total_moves: int

@@ -179,7 +179,7 @@ class Strategy(abc.ABC):
         """Streaming counterpart of :meth:`run`: chunks, never a Schedule.
 
         Serves from the process-wide cache when one is installed and
-        offers a chunk-streaming accessor (``stream_for``); a traced run
+        offers a chunk-streaming accessor (``stream_chunks``); a traced run
         reports its move count from the final chunk's aggregate block,
         so tracing never forces materialization.
         """
@@ -201,8 +201,8 @@ class Strategy(abc.ABC):
         self, dimension: int, chunk_moves: int
     ) -> Iterator[ScheduleChunk]:
         cache = _ACTIVE_CACHE
-        if cache is not None and hasattr(cache, "stream_for"):
-            return cache.stream_for(self, dimension, chunk_moves)  # type: ignore[attr-defined]
+        if cache is not None and hasattr(cache, "stream_chunks"):
+            return cache.stream_chunks(self, dimension, chunk_moves)  # type: ignore[attr-defined]
         return self.generate_chunks(Hypercube(dimension), chunk_moves)
 
     # ------------------------------------------------------------------ #

@@ -1,25 +1,26 @@
-"""Fast-path plane: columnar schedules, content-addressed caching, batch
-verification.
+"""Fast-path plane: content-addressed caching, batch verification,
+measurement and Monte Carlo over columnar schedules.
 
 The paper's strategies emit ``O(n log n)`` moves (Theorems 3/8), so at
 large ``d`` a schedule is a sea of Python ``Move`` objects; this package
-makes re-measuring and re-verifying them cheap:
+makes re-measuring and re-verifying them cheap.  It reads schedules as
+:class:`~repro.core.chunkstream.ScheduleChunk` columns: a chunk stream,
+or the whole schedule as one final chunk
+(:func:`~repro.core.chunkstream.concat_chunks`).
 
-* :class:`CompiledSchedule` — a lossless struct-of-arrays twin of
-  :class:`~repro.core.schedule.Schedule` (six int64 columns plus the
-  one-pass aggregate-stats block), assembled from and sliced into the
-  chunk stream;
 * :class:`ScheduleCache` — a content-addressed on-disk store of
   schedules as chunked, CRC-protected entries (one layout), fingerprinted
   by (strategy, version tag, dimension, params, format versions), with
   atomic writes so parallel executor workers can share one directory and
   corrupt entries silently regenerating; every accessor is a view over
   the entry's chunk stream;
-* :func:`batch_verify` — a per-time-unit replay of the columnar form
-  with O(1)-per-move integer kernels, verdict-equivalent to
+* :func:`batch_verify` / :func:`batch_verify_chunks` — a per-time-unit
+  replay of a whole chunk or a stream with O(1)-per-move integer
+  kernels, verdict-equivalent to
   :class:`~repro.analysis.verify.ScheduleVerifier`;
-* :func:`measure_schedule` — the single metric-collection helper behind
-  both the serial sweep and the executor's ``sweep_cell`` task;
+* :func:`measure_chunks` / :func:`measure_schedule` — the metric
+  columns behind both the serial sweep and the executor's
+  ``sweep_cell`` task, built in one place;
 * :func:`run_batch` — the scenario-batch Monte Carlo engine: one
   columnar timeline replay per shard, thousands of intruder/delay/
   homebase scenarios scored against it in homebase-relative
@@ -60,11 +61,10 @@ from repro.fastpath.cache import (
 from repro.fastpath.compiled import (
     FORMAT_VERSION,
     SCHEMA_VERSION,
-    CompiledSchedule,
     decode_metadata,
     encode_metadata,
 )
-from repro.fastpath.measure import Measurable, measure_chunks, measure_schedule
+from repro.fastpath.measure import measure_chunks, measure_schedule
 
 __all__ = [
     "BatchResult",
@@ -86,10 +86,8 @@ __all__ = [
     "fingerprint",
     "FORMAT_VERSION",
     "SCHEMA_VERSION",
-    "CompiledSchedule",
     "decode_metadata",
     "encode_metadata",
-    "Measurable",
     "measure_chunks",
     "measure_schedule",
 ]

@@ -1,7 +1,8 @@
-"""Scenario-batch Monte Carlo simulation of compiled schedules.
+"""Scenario-batch Monte Carlo simulation of whole schedules.
 
-One :class:`~repro.fastpath.compiled.CompiledSchedule` answers one
-question ("does this sweep work?"); a Monte Carlo campaign asks thousands
+One whole schedule (a single final
+:class:`~repro.core.chunkstream.ScheduleChunk`) answers one question
+("does this sweep work?"); a Monte Carlo campaign asks thousands
 of small variations of it — intruder placement × intruder policy × delay
 adversary × homebase translation.  Looping ``Engine.run`` pays the full
 discrete-event machinery per trial even though every trial replays the
@@ -17,7 +18,7 @@ Homebase-relative frames
 The hypercube is vertex-transitive: XOR with ``rel`` is an automorphism
 that maps the sweep launched from homebase ``h`` onto the sweep launched
 from ``h ^ rel``, node for node and mask for mask.  A shard therefore
-replays the schedule once, at the compiled schedule's homebase, and
+replays the schedule once, at the schedule's own homebase, and
 scores a trial launched from ``home`` in relative coordinates,
 ``rel = home ^ timeline.home``: an inert fugitive seeded at ``s`` is the
 timeline's fugitive seeded at ``s ^ rel`` (memoized per relative seed),
@@ -114,9 +115,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.chunkstream import ScheduleChunk, concat_chunks
 from repro.errors import ScheduleError, SimulationError
 from repro.fastpath.batchverify import batch_verify
-from repro.fastpath.compiled import CompiledSchedule
 from repro.fastpath.npkernels import check_backend
 from repro.topology.hypercube import Hypercube
 
@@ -262,15 +263,16 @@ COMPILE_CHUNK_MOVES = 4096
 
 def compile_for_spec(
     spec: BatchScenarioSpec, topology: Optional[Hypercube] = None
-) -> CompiledSchedule:
-    """The spec's base schedule (homebase 0), compiled from the chunk
-    stream of :meth:`~repro.core.strategy.Strategy.run_chunks` — served
-    by the process-wide cache when one is installed, traced as a
+) -> ScheduleChunk:
+    """The spec's base schedule (homebase 0) as one whole chunk,
+    assembled from the chunk stream of
+    :meth:`~repro.core.strategy.Strategy.run_chunks` — served by the
+    process-wide cache when one is installed, traced as a
     ``strategy.run_chunks`` span when a tracer is active."""
     from repro.core.strategy import get_strategy  # lazy: strategy registry
     # imports the generators, which fastpath never needs at import time
 
-    return CompiledSchedule.from_chunks(
+    return concat_chunks(
         get_strategy(spec.strategy).run_chunks(spec.dimension, COMPILE_CHUNK_MOVES)
     )
 
@@ -322,7 +324,7 @@ class BatchStats:
 # --------------------------------------------------------------------- #
 
 
-def replay_order(compiled: CompiledSchedule) -> List[int]:
+def replay_order(compiled: ScheduleChunk) -> List[int]:
     """Column indices in the order ``Engine.run`` applies the moves.
 
     The scripted replay (:mod:`repro.sim.replay`) turns each agent's
@@ -341,7 +343,7 @@ def replay_order(compiled: CompiledSchedule) -> List[int]:
     depend on the parent's script, which this model does not cover —
     they are rejected.
     """
-    if compiled.uses_cloning:
+    if compiled.header.uses_cloning:
         raise SimulationError(
             "replay_order models scripted (non-cloning) replay only; "
             "cloning schedules spawn agents mid-run"
@@ -440,16 +442,17 @@ def _saturate(frontier: int, allowed: int, topo: Hypercube) -> int:
 
 
 class ScenarioTimeline:
-    """Per-unit mask history of one compiled schedule at one homebase.
+    """Per-unit mask history of one whole schedule at one homebase.
 
-    Replays the six columns once (translated through the XOR
-    automorphism when ``homebase`` differs from the compiled one) with
+    Replays the six columns of the whole-schedule chunk once (translated
+    through the XOR automorphism when ``homebase`` differs from the
+    schedule's own) with
     the engine's contamination semantics — arrivals clean, departures
     recontaminate through unguarded clean neighbours — and records, per
     time unit: the post-unit guard mask, clean mask, arrival
     (disturbance) mask and cumulative move count.
 
-    :func:`run_batch` builds one per call, at the compiled schedule's
+    :func:`run_batch` builds one per call, at the schedule's own
     homebase, and scores every trial of the shard on it in
     homebase-relative coordinates (module docstring): the timeline at
     homebase ``h`` is this one relabelled by XOR with ``h ^ self.home``,
@@ -467,24 +470,25 @@ class ScenarioTimeline:
 
     def __init__(
         self,
-        compiled: CompiledSchedule,
+        compiled: ScheduleChunk,
         homebase: int = 0,
         topology: Optional[Hypercube] = None,
         stats: Optional[BatchStats] = None,
     ) -> None:
-        topo = topology or Hypercube(compiled.dimension)
-        if topo.n != compiled.n:
+        header = compiled.header
+        topo = topology or Hypercube(header.dimension)
+        if topo.n != header.n:
             raise ScheduleError(
-                f"topology has {topo.n} nodes but schedule is d={compiled.dimension}"
+                f"topology has {topo.n} nodes but schedule is d={header.dimension}"
             )
         if not 0 <= homebase < topo.n:
-            raise ScheduleError(f"homebase {homebase} not a node of H_{compiled.dimension}")
+            raise ScheduleError(f"homebase {homebase} not a node of H_{header.dimension}")
         self.topo = topo
         self.compiled = compiled
         self.home = homebase
         self.full = topo.full_mask
         self._stats = stats
-        xor = homebase ^ compiled.homebase
+        xor = homebase ^ header.homebase
         self._xor = xor
         self._srcs = [s ^ xor for s in compiled.srcs]
         self._dsts = [t ^ xor for t in compiled.dsts]
@@ -516,8 +520,8 @@ class ScenarioTimeline:
         home = self.home
         srcs, dsts, times = self._srcs, self._dsts, self._times
         total = len(times)
-        uses_cloning = self.compiled.uses_cloning
-        team = max(self.compiled.team_size, self.compiled.stats.agents_used, 1)
+        uses_cloning = self.compiled.header.uses_cloning
+        team = max(self.compiled.header.team_size, self.compiled.stats_so_far.agents_used, 1)
 
         guard_count = [0] * n
         guard_count[home] = 1 if uses_cloning else team
@@ -610,7 +614,7 @@ class ScenarioTimeline:
         if seed == self.home:
             raise SimulationError(f"seed {seed} is the homebase; nothing to capture")
         if not 0 <= seed < self.topo.n:
-            raise ScheduleError(f"seed {seed} not a node of H_{self.compiled.dimension}")
+            raise ScheduleError(f"seed {seed} not a node of H_{self.compiled.header.dimension}")
         cached = self._inert_cache.get(seed)
         if cached is not None:
             if self._stats is not None:
@@ -654,7 +658,7 @@ class ScenarioTimeline:
         order = replay_order(self.compiled)
         topo = self.topo
         n = topo.n
-        team = max(self.compiled.team_size, self.compiled.stats.agents_used, 1)
+        team = max(self.compiled.header.team_size, self.compiled.stats_so_far.agents_used, 1)
         guard_count = [0] * n
         guard_count[self.home] = team
         gmask = 1 << self.home
@@ -1128,7 +1132,7 @@ def run_batch(
     *,
     start: int = 0,
     count: Optional[int] = None,
-    compiled: Optional[CompiledSchedule] = None,
+    compiled: Optional[ScheduleChunk] = None,
     topology: Optional[Hypercube] = None,
     stats: Optional[BatchStats] = None,
     metrics: Optional[Any] = None,
@@ -1140,15 +1144,16 @@ def run_batch(
     The default ``(0, spec.trials)`` window runs the whole campaign;
     shard workers pass disjoint windows and :meth:`BatchResult.merge`
     reassembles the serial result exactly (determinism section of the
-    module docstring).  ``compiled`` short-circuits schedule generation
-    when the caller already holds the columns; ``metrics`` mirrors the
+    module docstring).  ``compiled`` (a whole-schedule chunk)
+    short-circuits schedule generation when the caller already holds
+    the columns; ``metrics`` mirrors the
     :class:`BatchStats` counters into an observability registry;
     ``tracer`` (duck-typed — rule ``RPR220`` keeps ``repro.obs`` out of
     this layer) wraps the shard in a ``fastpath.run_batch`` span with
     compile / verify / timeline child spans.
 
     A non-empty shard builds one :class:`ScenarioTimeline`, at the
-    compiled schedule's homebase, and scores every trial on it in
+    schedule's own homebase, and scores every trial on it in
     homebase-relative coordinates, whatever the policy: its counters
     read ``timelines_built == 1`` and ``timelines_reused == count - 1``,
     and ``inert_seed_evals`` counts distinct relative seeds.  An empty
@@ -1181,7 +1186,7 @@ def _run_batch(
     spec: BatchScenarioSpec,
     start: int,
     count: int,
-    compiled: Optional[CompiledSchedule],
+    compiled: Optional[ScheduleChunk],
     topology: Optional[Hypercube],
     stats: Optional[BatchStats],
     metrics: Optional[Any],
@@ -1197,9 +1202,10 @@ def _run_batch(
             base = compile_for_spec(spec)
     else:
         base = compile_for_spec(spec)
-    if base.dimension != spec.dimension:
+    header = base.header
+    if header.dimension != spec.dimension:
         raise ScheduleError(
-            f"compiled schedule is d={base.dimension}, spec wants d={spec.dimension}"
+            f"compiled schedule is d={header.dimension}, spec wants d={spec.dimension}"
         )
     topo = topology or Hypercube(spec.dimension)
     report = batch_verify(base, topo, tracer=tracer)
@@ -1213,17 +1219,17 @@ def _run_batch(
     }
     result = BatchResult(spec=spec, start=start, verdict=verdict)
     policy = spec.intruder
-    if policy in ("walker", "walkers") and base.uses_cloning:
+    if policy in ("walker", "walkers") and header.uses_cloning:
         raise SimulationError(
             "walker policies replay the engine's move order, which is only "
             "modelled for non-cloning schedules"
         )
     if count > 0:
         if tracer is not None:
-            with tracer.span("fastpath.timeline", homebase=base.homebase):
-                timeline = ScenarioTimeline(base, base.homebase, topo, stats=stats)
+            with tracer.span("fastpath.timeline", homebase=header.homebase):
+                timeline = ScenarioTimeline(base, header.homebase, topo, stats=stats)
         else:
-            timeline = ScenarioTimeline(base, base.homebase, topo, stats=stats)
+            timeline = ScenarioTimeline(base, header.homebase, topo, stats=stats)
         if count > 1:
             stats.count("timelines_reused", count - 1)
         _score_shard(spec, start, count, timeline, stats, result)

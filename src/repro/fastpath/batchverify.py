@@ -1,6 +1,7 @@
-"""Batch verification of compiled schedules and chunk streams.
+"""Batch verification of whole schedules and chunk streams.
 
-:func:`batch_verify` (a :class:`~repro.fastpath.CompiledSchedule`) and
+:func:`batch_verify` (the whole schedule as one chunk, see
+:func:`~repro.core.chunkstream.concat_chunks`) and
 :func:`batch_verify_chunks` (a chunk stream) check a schedule directly on
 its int64 columns, one *time unit* at a time, against the same
 predicates as :class:`~repro.analysis.verify.ScheduleVerifier`:
@@ -46,7 +47,6 @@ from repro.errors import (
     SimulationError,
     VerificationError,
 )
-from repro.fastpath.compiled import CompiledSchedule
 from repro.fastpath.npkernels import KernelFallback, NPChunkVerifier, plane_connected
 from repro.topology.hypercube import Hypercube
 
@@ -557,12 +557,20 @@ class _NPReplayAdapter:
 
 
 def batch_verify(
-    compiled: CompiledSchedule,
+    whole: ScheduleChunk,
     topology: Optional[Hypercube] = None,
     *,
     tracer: Optional[object] = None,
 ) -> BatchVerificationReport:
-    """Verify ``compiled`` on the bit-plane kernel.
+    """Verify the whole schedule ``whole`` on the bit-plane kernel.
+
+    ``whole`` is one final chunk holding every row
+    (:func:`~repro.core.chunkstream.concat_chunks`).  Its aggregate
+    block is known before the first move, so the homebase is seeded
+    with ``max(team_size, agents_used, 1)`` agents, as
+    :func:`~repro.analysis.verify.verify_schedule` does: a schedule that
+    declares too small a team fails at the verdict with the classic
+    verifier's error, not at the move where the homebase runs out.
 
     ``tracer`` is duck-typed (anything with a ``span(name, **attrs)``
     context manager — this module must not import ``repro.obs``, lint
@@ -581,31 +589,18 @@ def batch_verify(
     matching the classic verifier; invariant failures never raise — they
     are recorded on the returned report.
     """
-    if tracer is not None:
-        with tracer.span(  # type: ignore[attr-defined]
-            "fastpath.batch_verify",
-            dimension=compiled.dimension,
-            moves=compiled.total_moves,
-        ) as span:
-            report = batch_verify(compiled, topology)
-            span.attrs["ok"] = report.ok
-            span.attrs["declined"] = report.declined
-            return report
-    state = _NPReplayAdapter(
-        dimension=compiled.dimension,
-        strategy=compiled.strategy,
-        homebase=compiled.homebase,
-        uses_cloning=compiled.uses_cloning,
-        team=max(compiled.team_size, compiled.stats.agents_used, 1),
-        topo=topology or Hypercube(compiled.dimension),
-    )
-    state.feed(compiled.times, compiled.agents, compiled.srcs, compiled.dsts)
-    return state.finish(
-        declared_team_size=compiled.team_size,
-        agents_used=compiled.stats.agents_used,
-        total_moves=compiled.stats.total_moves,
-        makespan=compiled.stats.makespan,
-    )
+    agents_used = whole.stats_so_far.agents_used
+    if tracer is None:
+        return _verify((whole,), topology, agents_used)
+    with tracer.span(  # type: ignore[attr-defined]
+        "fastpath.batch_verify",
+        dimension=whole.header.dimension,
+        moves=whole.stats_so_far.total_moves,
+    ) as span:
+        report = _verify((whole,), topology, agents_used)
+        span.attrs["ok"] = report.ok
+        span.attrs["declined"] = report.declined
+        return report
 
 
 def batch_verify_chunks(
@@ -619,13 +614,13 @@ def batch_verify_chunks(
     Consumes a :class:`~repro.core.chunkstream.ScheduleChunk` stream
     (from :meth:`Strategy.generate_chunks
     <repro.core.strategy.Strategy.generate_chunks>`, a cache's
-    ``stream_chunks`` or :meth:`CompiledSchedule.iter_chunks
-    <repro.fastpath.compiled.CompiledSchedule.iter_chunks>`), carrying
-    the replay state across chunk boundaries — a boundary may split a
-    time unit; the unit is settled once a later time arrives, whichever
-    chunk that lands in.  The verdict and every error message (global
-    move indices included) are identical to feeding the concatenated
-    columns to :func:`batch_verify`.
+    ``stream_chunks`` or :func:`~repro.core.chunkstream.rechunk`),
+    carrying the replay state across chunk boundaries — a boundary may
+    split a time unit; the unit is settled once a later time arrives,
+    whichever chunk that lands in.  On a stream whose header declares
+    its team correctly, the verdict and every error message (global
+    move indices included) are identical to :func:`batch_verify` on the
+    concatenated chunk.
 
     Peak memory: the chunk stream itself is *not* what dominates — the
     PR 9 measurements showed the O(n) per-node tables (guard counts,
@@ -636,22 +631,38 @@ def batch_verify_chunks(
     replay).  Either way a single resident chunk bounds the *stream's*
     contribution; the node tables set the floor.
 
-    The stream header must carry the exact team size (it seeds the
-    homebase guards before the first move); the final chunk's aggregate
-    block supplies the totals the classic path read from
-    ``compiled.stats``.  Raises :class:`~repro.errors.ScheduleError` on
-    a torn stream (no final chunk).
+    The stream header must carry the exact team size: the stream's
+    totals arrive only with its final chunk, so the homebase is seeded
+    with the header's ``max(team_size, 1)`` guards before the first
+    move, and the final chunk's aggregate block supplies the report's
+    totals.  Raises :class:`~repro.errors.ScheduleError` on a torn
+    stream (no final chunk).
     """
-    if tracer is not None:
-        with tracer.span(  # type: ignore[attr-defined]
-            "fastpath.batch_verify_chunks"
-        ) as span:
-            report = batch_verify_chunks(chunks, topology)
-            span.attrs["dimension"] = report.dimension
-            span.attrs["moves"] = report.total_moves
-            span.attrs["ok"] = report.ok
-            span.attrs["declined"] = report.declined
-            return report
+    if tracer is None:
+        return _verify(chunks, topology, 0)
+    with tracer.span(  # type: ignore[attr-defined]
+        "fastpath.batch_verify_chunks"
+    ) as span:
+        report = _verify(chunks, topology, 0)
+        span.attrs["dimension"] = report.dimension
+        span.attrs["moves"] = report.total_moves
+        span.attrs["ok"] = report.ok
+        span.attrs["declined"] = report.declined
+        return report
+
+
+def _verify(
+    chunks: Iterable[ScheduleChunk],
+    topology: Optional[Hypercube],
+    agents_used: int,
+) -> BatchVerificationReport:
+    """The body of both entry points: feed every chunk to one
+    :class:`_NPReplayAdapter`, then judge from the final chunk's block.
+
+    The homebase starts with ``max(team_size, agents_used, 1)`` agents:
+    ``agents_used`` is the whole schedule's count for
+    :func:`batch_verify` and 0 for a stream.
+    """
     state: Optional[_NPReplayAdapter] = None
     last: Optional[ScheduleChunk] = None
     for chunk in chunks:
@@ -662,7 +673,7 @@ def batch_verify_chunks(
                 strategy=header.strategy,
                 homebase=header.homebase,
                 uses_cloning=header.uses_cloning,
-                team=max(header.team_size, 1),
+                team=max(header.team_size, agents_used, 1),
                 topo=topology or Hypercube(header.dimension),
             )
         state.feed(chunk.times, chunk.agents, chunk.srcs, chunk.dsts)

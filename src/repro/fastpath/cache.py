@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache of compiled schedules.
+"""Content-addressed on-disk cache of schedules as chunk streams.
 
 A :class:`ScheduleCache` maps a *fingerprint* — the SHA-256 of
 (cache schema version, on-disk format version tags, strategy name,
@@ -29,13 +29,15 @@ streams it — chunks come straight off disk, never the whole entry in
 memory, never a ``Move`` object, and a corrupt chunk costs one
 deterministic regeneration spliced invisibly into the stream; a miss
 tees the strategy's producer into a new entry while the consumer
-drains it.  :meth:`~ScheduleCache.load` assembles an entry into a
-:class:`~repro.fastpath.compiled.CompiledSchedule`,
-:meth:`~ScheduleCache.store` slices one into an entry, and
-:meth:`~ScheduleCache.compiled_for` / :meth:`~ScheduleCache.schedule_for`
-assemble (and, for the latter, decompile) the stream.  Files of the
-older monolithic layout (``.rprc``) are never read;
-:meth:`~ScheduleCache.clear` removes them.
+drains it.  :meth:`~ScheduleCache.load` assembles an entry into the
+whole schedule as one chunk
+(:func:`~repro.core.chunkstream.concat_chunks`),
+:meth:`~ScheduleCache.store` slices such a chunk into an entry (the
+bytes a streamed entry of the same schedule has), and
+:meth:`~ScheduleCache.schedule_for` turns the stream into a
+:class:`~repro.core.schedule.Schedule`.  Files of the older monolithic
+layout (``.rprc``) are never read; :meth:`~ScheduleCache.clear` removes
+them.
 
 Hit/miss/corrupt counts are mirrored into the process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` (``fastpath.cache.*``
@@ -50,6 +52,7 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import tempfile
 import zlib
 from array import array
@@ -65,6 +68,8 @@ from repro.core.chunkstream import (
     AggregateScanner,
     ChunkStreamHeader,
     ScheduleChunk,
+    chunks_to_schedule,
+    concat_chunks,
     rechunk,
 )
 from repro.core.schedule import MoveKind, Schedule, ScheduleAggregates
@@ -75,8 +80,6 @@ from repro.fastpath.compiled import (
     COLUMN_NAMES,
     FORMAT_VERSION,
     SCHEMA_VERSION,
-    CompiledSchedule,
-    _native,
     decode_metadata,
     encode_metadata,
 )
@@ -115,6 +118,14 @@ _LEGACY_SUFFIX = ".rprc"
 CACHE_DIR_ENV = "REPRO_SCHEDULE_CACHE"
 
 _DEFAULT_DIR = Path(".repro-cache") / "schedules"
+
+
+def _native(arr: "array[int]") -> "array[int]":
+    """The array with little-endian byte order (no-op on LE hosts)."""
+    if sys.byteorder == "big":  # pragma: no cover - LE-only CI
+        arr = array("q", arr)
+        arr.byteswap()
+    return arr
 
 
 def default_cache_dir() -> Path:
@@ -241,8 +252,8 @@ class ScheduleCache:
     # load / store: whole-schedule views of one entry
     # ------------------------------------------------------------------ #
 
-    def load(self, fp: str) -> Optional[CompiledSchedule]:
-        """The cached compiled schedule for ``fp``, or ``None``.
+    def load(self, fp: str) -> Optional[ScheduleChunk]:
+        """The cached schedule for ``fp`` as one whole chunk, or ``None``.
 
         A missing entry counts as a miss; an unreadable or corrupt entry
         is deleted, counted as both ``corrupt`` and a miss, and reported
@@ -252,14 +263,14 @@ class ScheduleCache:
         if tracer is None:
             return self._load(fp)
         with tracer.span("fastpath.cache.load", fingerprint=fp[:16]) as span:
-            compiled = self._load(fp)
-            span.attrs["outcome"] = "hit" if compiled is not None else "miss"
-            return compiled
+            whole = self._load(fp)
+            span.attrs["outcome"] = "hit" if whole is not None else "miss"
+            return whole
 
-    def _load(self, fp: str) -> Optional[CompiledSchedule]:
+    def _load(self, fp: str) -> Optional[ScheduleChunk]:
         path = self.path_for(fp)
         try:
-            compiled = CompiledSchedule.from_chunks(self._read_chunk_entry(path))
+            whole = concat_chunks(self._read_chunk_entry(path))
         except FileNotFoundError:
             self.stats.count("misses")
             return None
@@ -267,7 +278,7 @@ class ScheduleCache:
             self._discard(path)
             return None
         self.stats.count("hits")
-        return compiled
+        return whole
 
     def _discard(self, path: Path) -> None:
         """Count a corrupt entry (and the miss it becomes) and delete it."""
@@ -278,22 +289,24 @@ class ScheduleCache:
         except OSError:  # pragma: no cover - racing unlink
             pass
 
-    def store(self, fp: str, compiled: CompiledSchedule) -> Path:
-        """Atomically publish ``compiled`` under fingerprint ``fp``.
+    def store(self, fp: str, whole: ScheduleChunk) -> Path:
+        """Atomically publish the whole-schedule chunk ``whole`` under
+        fingerprint ``fp``.
 
         The columns are sliced into :data:`DEFAULT_CHUNK_MOVES` chunks
-        and written as one entry: tmp-file + :func:`os.replace` in the
-        same directory, so concurrent writers each publish a complete
-        entry and readers never observe a torn one.
+        (``rechunk``, so the bytes are those of the streamed entry) and
+        written as one entry: tmp-file + :func:`os.replace` in the same
+        directory, so concurrent writers each publish a complete entry
+        and readers never observe a torn one.
         """
         tracer = self._tracer
         if tracer is None:
-            return self._store(fp, compiled)
+            return self._store(fp, whole)
         with tracer.span("fastpath.cache.store", fingerprint=fp[:16]):
-            return self._store(fp, compiled)
+            return self._store(fp, whole)
 
-    def _store(self, fp: str, compiled: CompiledSchedule) -> Path:
-        chunks = compiled.iter_chunks(DEFAULT_CHUNK_MOVES)
+    def _store(self, fp: str, whole: ScheduleChunk) -> Path:
+        chunks = rechunk((whole,), DEFAULT_CHUNK_MOVES)
         for _ in self._write_chunk_stream(fp, chunks, DEFAULT_CHUNK_MOVES):
             pass
         return self.path_for(fp)
@@ -548,28 +561,21 @@ class ScheduleCache:
 
     def load_compiled(
         self, strategy: Strategy, dimension: int
-    ) -> Tuple[str, Optional[CompiledSchedule]]:
-        """(fingerprint, cached compiled schedule or ``None``)."""
+    ) -> Tuple[str, Optional[ScheduleChunk]]:
+        """(fingerprint, cached whole-schedule chunk or ``None``)."""
         fp = self.fingerprint_of(strategy, dimension)
         return fp, self.load(fp)
 
-    def compiled_for(self, strategy: Strategy, dimension: int) -> CompiledSchedule:
-        """The strategy's compiled schedule: :meth:`stream_chunks`,
-        assembled.  No ``Move`` object is built on a warm hit, nor on a
-        miss for a strategy with a columnar producer."""
-        return CompiledSchedule.from_chunks(self.stream_chunks(strategy, dimension))
-
     def schedule_for(self, strategy: Strategy, dimension: int) -> Schedule:
-        """The strategy's schedule: :meth:`compiled_for`, decompiled.
+        """The strategy's schedule: :meth:`stream_chunks`, materialized.
 
         This is the hook :meth:`repro.core.strategy.Strategy.run`
         consults when this cache is installed as the process-wide active
         cache.  ``run``'s contract is a materialized :class:`Schedule`,
         so this accessor necessarily builds one ``Move`` object per row;
-        columnar consumers use :meth:`compiled_for` or
-        :meth:`stream_chunks` instead.
+        columnar consumers use :meth:`stream_chunks` instead.
         """
-        return self.compiled_for(strategy, dimension).to_schedule()
+        return chunks_to_schedule(self.stream_chunks(strategy, dimension))
 
     # ------------------------------------------------------------------ #
     # the stream: the one way a schedule leaves the cache
@@ -582,6 +588,9 @@ class ScheduleCache:
         chunk_moves: int = DEFAULT_CHUNK_MOVES,
     ) -> Iterator[ScheduleChunk]:
         """The strategy's schedule as a bounded-memory chunk stream.
+
+        This is also the hook :meth:`repro.core.strategy.Strategy.run_chunks`
+        consults when this cache is the process-wide active cache.
 
         A warm entry streams straight off disk, re-sliced to
         ``chunk_moves`` if the stored block size differs, with one
@@ -652,17 +661,6 @@ class ScheduleCache:
             if chunk.start_move < delivered and not chunk.is_last:
                 continue
             yield chunk
-
-    def stream_for(
-        self,
-        strategy: Strategy,
-        dimension: int,
-        chunk_moves: int = DEFAULT_CHUNK_MOVES,
-    ) -> Iterator[ScheduleChunk]:
-        """The hook :meth:`repro.core.strategy.Strategy.run_chunks`
-        consults when this cache is the process-wide active cache
-        (duck-typed, like ``schedule_for``)."""
-        return self.stream_chunks(strategy, dimension, chunk_moves)
 
     # ------------------------------------------------------------------ #
     # maintenance (the ``repro-search cache`` subcommand)

@@ -2,60 +2,45 @@
 
 ``Sweep.run`` and the executor's ``sweep_cell`` task used to build the
 standard metric columns with two hand-mirrored copies of the same five
-lines; :func:`measure_schedule` is now the single definition both call,
-so the serial and parallel paths cannot drift.
-
-It accepts either a :class:`~repro.core.schedule.Schedule` or a
-:class:`~repro.fastpath.compiled.CompiledSchedule` — both expose
-``team_size`` and the one-pass ``aggregates()`` block — which is what
-makes the cache's warm path *deserialize-and-measure*: a compiled
-schedule answers every column straight from its stats header without
-materializing a single ``Move``.
+lines; they now call one of two entry points, which build the columns
+in one place (:func:`_columns`), so the paths cannot drift.
+:func:`measure_chunks` answers from a chunk stream's final aggregate
+block — the streaming cell's and the cache's warm path, which never
+materializes a ``Move`` — and :func:`measure_schedule` from a
+materialized :class:`~repro.core.schedule.Schedule`'s memoized one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Protocol
+from typing import Dict, Iterable
 
 from repro.core.chunkstream import ScheduleChunk
-from repro.core.schedule import ScheduleAggregates
+from repro.core.schedule import Schedule, ScheduleAggregates
 from repro.core.states import AgentRole
 from repro.errors import ScheduleError
 
-__all__ = ["measure_schedule", "measure_chunks", "Measurable"]
+__all__ = ["measure_schedule", "measure_chunks"]
 
 
-class Measurable(Protocol):
-    """What :func:`measure_schedule` needs: ``Schedule`` or
-    ``CompiledSchedule``."""
-
-    team_size: int
-
-    @property
-    def n(self) -> int:
-        """Number of hypercube nodes the schedule covers."""
-        ...
-
-    def aggregates(self) -> ScheduleAggregates:
-        """The memoized one-pass aggregate block."""
-        ...
+def _columns(team_size: int, agg: ScheduleAggregates) -> Dict[str, float]:
+    """The standard metric columns from a team size and an aggregate block."""
+    return {
+        "agents": team_size,
+        "moves": agg.total_moves,
+        "agent_moves": agg.role_counts[AgentRole.AGENT],
+        "sync_moves": agg.role_counts[AgentRole.SYNCHRONIZER],
+        "steps": agg.makespan,
+    }
 
 
-def measure_schedule(schedule: Measurable) -> Dict[str, float]:
+def measure_schedule(schedule: Schedule) -> Dict[str, float]:
     """The standard sweep metric columns for one schedule.
 
     Keys match :data:`repro.analysis.sweeps.STANDARD_COLUMNS`: the
     paper's team size, total/agent/synchronizer move counts (Theorem 3's
     decomposition) and the ideal-time makespan.
     """
-    agg = schedule.aggregates()
-    return {
-        "agents": schedule.team_size,
-        "moves": agg.total_moves,
-        "agent_moves": agg.role_counts[AgentRole.AGENT],
-        "sync_moves": agg.role_counts[AgentRole.SYNCHRONIZER],
-        "steps": agg.makespan,
-    }
+    return _columns(schedule.team_size, schedule.aggregates())
 
 
 def measure_chunks(chunks: Iterable[ScheduleChunk]) -> Dict[str, float]:
@@ -77,11 +62,4 @@ def measure_chunks(chunks: Iterable[ScheduleChunk]) -> Dict[str, float]:
         raise ScheduleError("empty chunk stream (no chunks at all)")
     if last is None:
         raise ScheduleError("torn chunk stream: no final chunk seen")
-    agg = last.stats_so_far
-    return {
-        "agents": last.header.team_size,
-        "moves": agg.total_moves,
-        "agent_moves": agg.role_counts[AgentRole.AGENT],
-        "sync_moves": agg.role_counts[AgentRole.SYNCHRONIZER],
-        "steps": agg.makespan,
-    }
+    return _columns(last.header.team_size, last.stats_so_far)

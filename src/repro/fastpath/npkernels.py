@@ -15,9 +15,7 @@ an in-word block swap for ``p < 6`` (shift by ``2**p`` under the
 alternating masks) and a whole-word permutation for ``p >= 6``.  On top
 of that one primitive sit :func:`plane_spread` (union of all ``d``
 neighbour shifts), :func:`plane_popcount` (``np.bitwise_count`` when the
-installed numpy has it, a byte lookup table otherwise),
-:func:`plane_translate` (the XOR automorphism ``x -> x ^ h`` — the
-composition of the single-bit swaps for the set bits of ``h``) and
+installed numpy has it, a byte lookup table otherwise) and
 :func:`plane_connected` (frontier BFS entirely on packed words).
 
 :class:`NPChunkVerifier` replays schedule chunks on these planes plus
@@ -43,7 +41,7 @@ Layering: imports only ``repro.errors`` and ``numpy`` (rule RPR220).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,13 +51,10 @@ __all__ = [
     "KernelFallback",
     "NPChunkVerifier",
     "check_backend",
-    "mask_list_to_matrix",
-    "matrix_to_mask_list",
     "plane_connected",
     "plane_popcount",
     "plane_shift_dim",
     "plane_spread",
-    "plane_translate",
     "pack_nodes",
     "unpack_plane",
 ]
@@ -142,15 +137,6 @@ def plane_spread(plane: Any, d: int) -> Any:
     return out
 
 
-def plane_translate(plane: Any, xor: int, d: int) -> Any:
-    """The XOR automorphism ``x -> x ^ xor`` applied to a packed plane."""
-    out = plane
-    for p in range(d):
-        if (xor >> p) & 1:
-            out = plane_shift_dim(out, p)
-    return out
-
-
 _POPCOUNT_LUT: Any = None
 
 
@@ -190,27 +176,6 @@ def plane_connected(plane: Any, d: int, start: int) -> bool:
         if grown == size:
             return size == total
         size = grown
-
-
-def mask_list_to_matrix(masks: Sequence[int], n: int) -> Any:
-    """Pack a list of bigint node masks into a ``(len, words)`` plane matrix."""
-    words = plane_words(n)
-    nbytes = words * 8
-    out = np.empty((len(masks), words), dtype=np.uint64)
-    for i, mask in enumerate(masks):
-        out[i] = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint64)
-    return out
-
-
-def matrix_to_mask_list(matrix: Any) -> List[int]:
-    """Inverse of :func:`mask_list_to_matrix` (row-per-mask bigints)."""
-    rows, words = matrix.shape
-    blob = matrix.tobytes()
-    stride = words * 8
-    return [
-        int.from_bytes(blob[i * stride : (i + 1) * stride], "little")
-        for i in range(rows)
-    ]
 
 
 # --------------------------------------------------------------------- #

@@ -249,7 +249,7 @@ _RULE_TABLE: Tuple[Rule, ...] = (
         code="RPR360",
         name="schema-drift-without-version-bump",
         summary=(
-            "the declared `CompiledSchedule` column layout or the "
+            "the declared cache-entry column layout (`COLUMN_NAMES`) or the "
             "checkpoint record schema changed but its format-version tag "
             "did not — old on-disk blobs would decode under the new layout "
             "(or vice versa) instead of missing cleanly; bump the version "

@@ -2,8 +2,9 @@
 
 Two byte formats cross process and host boundaries: the schedule
 cache's chunked entry, whose chunk records hold the
-:class:`~repro.fastpath.compiled.CompiledSchedule` columns, and the
-executor checkpoint record (:class:`~repro.exec.jobs.JobOutcome` rows
+:data:`~repro.fastpath.compiled.COLUMN_NAMES` columns of a
+:class:`~repro.core.chunkstream.ScheduleChunk`, and the executor
+checkpoint record (:class:`~repro.exec.jobs.JobOutcome` rows
 under a ``CHECKPOINT_SCHEMA`` header).  Both carry version tags so that
 *incompatible* bytes miss cleanly instead of decoding as garbage — but a
 tag only protects if it is actually bumped when the layout changes.

@@ -105,9 +105,9 @@ class PeriodicCleaning:
         self._seed_rng = random.Random(master.getrandbits(64))
         self._home_rng = random.Random(master.getrandbits(64))
         self._base_schedule = get_strategy(self.strategy).run(self.dimension)
-        # compiled twin + per-homebase caches, built on first use (the
-        # fastpath import stays lazy so `import repro.sim` stays light)
-        self._compiled: Optional[Any] = None
+        # whole-schedule chunk + per-homebase caches, built on first use
+        # (the fastpath import stays lazy so `import repro.sim` stays light)
+        self._whole: Optional[Any] = None
         self._verified: Dict[int, Any] = {}
         self._timelines: Dict[int, Any] = {}
 
@@ -134,12 +134,12 @@ class PeriodicCleaning:
         """The shared scenario timeline for one homebase (memoized)."""
         timeline = self._timelines.get(homebase)
         if timeline is None:
+            from repro.core.chunkstream import chunks_from_schedule, concat_chunks
             from repro.fastpath.batchsim import ScenarioTimeline
-            from repro.fastpath.compiled import CompiledSchedule
 
-            if self._compiled is None:
-                self._compiled = CompiledSchedule.from_schedule(self._base_schedule)
-            timeline = ScenarioTimeline(self._compiled, homebase)
+            if self._whole is None:
+                self._whole = concat_chunks(chunks_from_schedule(self._base_schedule))
+            timeline = ScenarioTimeline(self._whole, homebase)
             self._timelines[homebase] = timeline
         return timeline
 

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.schedule import Move, Schedule
 from repro.core.strategy import get_strategy
+from repro.core.chunkstream import chunks_from_schedule, concat_chunks
 from repro.errors import ScheduleError, SimulationError
 from repro.fastpath import batchsim
 from repro.fastpath.batchsim import (
@@ -42,7 +43,6 @@ from repro.fastpath.batchsim import (
     replay_order,
     run_batch,
 )
-from repro.fastpath.compiled import CompiledSchedule
 from repro.sim import replay as replay_mod
 from repro.sim.contamination import ContaminationMap
 from repro.sim.engine import Engine
@@ -50,6 +50,11 @@ from repro.sim.scheduling import UnitDelay
 from repro.topology.hypercube import Hypercube
 
 from .test_npkernels import DELAY_STRATEGIES, delayed_suffix_schedules
+
+def _whole(schedule):
+    """``schedule`` as one whole-schedule chunk."""
+    return concat_chunks(chunks_from_schedule(schedule))
+
 
 FAST = settings(
     max_examples=12,
@@ -145,7 +150,7 @@ class TestTimelineVsEngine:
         d = 4
         schedule = get_strategy(name).run(d).translated(homebase)
         topo = Hypercube(d)
-        timeline = ScenarioTimeline(CompiledSchedule.from_schedule(schedule), homebase, topo)
+        timeline = ScenarioTimeline(_whole(schedule), homebase, topo)
         rec = EngineRecorder(schedule, topo)
         times, cleans, guards, arrivals = rec.per_unit()
 
@@ -166,7 +171,7 @@ class TestTimelineVsEngine:
         for name in STRATEGIES:
             for d in range(3, 9):
                 schedule = get_strategy(name).run(d)
-                compiled = CompiledSchedule.from_schedule(schedule)
+                compiled = _whole(schedule)
                 order = replay_order(compiled)
                 rec = EngineRecorder(schedule, Hypercube(d))
                 engine_stream = [(src, dst) for _, src, dst, _, _ in rec.moves]
@@ -174,7 +179,7 @@ class TestTimelineVsEngine:
                 assert batch_stream == engine_stream, (name, d)
 
     def test_replay_order_rejects_cloning(self):
-        compiled = CompiledSchedule.from_schedule(get_strategy("cloning").run(3))
+        compiled = _whole(get_strategy("cloning").run(3))
         with pytest.raises(SimulationError):
             replay_order(compiled)
 
@@ -191,7 +196,7 @@ class TestTimelineVsEngine:
         schedule = get_strategy(name).run(d).translated(homebase)
         topo = Hypercube(d)
         n = topo.n
-        timeline = ScenarioTimeline(CompiledSchedule.from_schedule(schedule), homebase, topo)
+        timeline = ScenarioTimeline(_whole(schedule), homebase, topo)
 
         irng = random.Random(iseed)
         if policy == "walker":
@@ -221,12 +226,11 @@ class TestTimelineVsContaminationMap:
         columns in column order."""
         recontaminated = 0
         for case, compiled in delayed_suffix_schedules(name):
-            timeline = ScenarioTimeline(compiled, compiled.homebase)
-            cmap = ContaminationMap(
-                Hypercube(compiled.dimension), compiled.homebase, strict=False
-            )
-            for _ in range(max(compiled.team_size, compiled.stats.agents_used, 1)):
-                cmap.place_agent(compiled.homebase)
+            header = compiled.header
+            timeline = ScenarioTimeline(compiled, header.homebase)
+            cmap = ContaminationMap(Hypercube(header.dimension), header.homebase, strict=False)
+            for _ in range(max(header.team_size, compiled.stats_so_far.agents_used, 1)):
+                cmap.place_agent(header.homebase)
             col = 0
             for unit, time in enumerate(timeline.unit_times):
                 while col < len(compiled.times) and compiled.times[col] == time:
@@ -310,7 +314,7 @@ class TestInertFugitive:
     def test_matches_setwise_reference_on_engine_masks(self, name, d):
         schedule = get_strategy(name).run(d)
         topo = Hypercube(d)
-        timeline = ScenarioTimeline(CompiledSchedule.from_schedule(schedule), 0, topo)
+        timeline = ScenarioTimeline(_whole(schedule), 0, topo)
         rec = EngineRecorder(schedule, topo)
         for seed in range(1, topo.n):
             index = timeline.inert_capture_index(seed)
@@ -319,7 +323,7 @@ class TestInertFugitive:
 
     def test_two_pocket_schedule_gives_different_capture_times(self):
         timeline = ScenarioTimeline(
-            CompiledSchedule.from_schedule(two_pocket_schedule()), 0, Hypercube(3)
+            _whole(two_pocket_schedule()), 0, Hypercube(3)
         )
         assert timeline.complete_index >= 0 and not timeline.recontaminated
         unit = lambda s: timeline.unit_times[timeline.inert_capture_index(s)]  # noqa: E731
@@ -334,7 +338,7 @@ class TestInertFugitive:
         # space and survives until the sweep's last pocket vanishes
         d = 4
         timeline = ScenarioTimeline(
-            CompiledSchedule.from_schedule(get_strategy("clean").run(d)), 0, Hypercube(d)
+            _whole(get_strategy("clean").run(d)), 0, Hypercube(d)
         )
         seed = 1  # adjacent to homebase 0
         node_cleaned_unit = next(
@@ -349,7 +353,7 @@ class TestInertFugitive:
 
     def test_seed_validation(self):
         timeline = ScenarioTimeline(
-            CompiledSchedule.from_schedule(get_strategy("visibility").run(3)), 0
+            _whole(get_strategy("visibility").run(3)), 0
         )
         with pytest.raises(SimulationError):
             timeline.inert_capture_index(0)  # the homebase hosts no fugitive
@@ -558,7 +562,7 @@ class TestCampaigns:
 
 @functools.lru_cache(maxsize=None)
 def _compiled(name, d):
-    return CompiledSchedule.from_schedule(get_strategy(name).run(d))
+    return _whole(get_strategy(name).run(d))
 
 
 def _relabel(mask, xor):

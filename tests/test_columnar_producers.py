@@ -27,15 +27,19 @@ from hypothesis import strategies as st
 from repro.analysis import formulas
 from repro.core.chunkstream import (
     ChunkStreamHeader,
+    ScheduleChunk,
+    _reslice_blocks,
+    assemble_chunks,
     chunk_move_stream,
     chunks_from_schedule,
+    chunks_to_schedule,
+    concat_chunks,
     rechunk,
 )
 from repro.core.schedule import Move, MoveKind, Schedule, scan_moves
 from repro.core.states import AgentRole
-from repro.core.strategy import get_strategy
+from repro.core.strategy import available_strategies, get_strategy
 from repro.errors import ScheduleError
-from repro.fastpath import CompiledSchedule
 from repro.topology.hypercube import Hypercube
 
 COLUMNAR = ("clean", "visibility", "synchronous", "cloning")
@@ -161,10 +165,10 @@ class TestAggregateFold:
     @pytest.mark.parametrize("chunk_moves", [1, 3, 16, 1000])
     def test_every_chunk_prefix(self, name, chunk_moves):
         schedule = get_strategy(name).generate(Hypercube(5))
-        compiled = CompiledSchedule.from_schedule(schedule)
-        assert_prefix_stats(compiled.iter_chunks(chunk_moves), schedule.moves)
+        compiled = concat_chunks(chunks_from_schedule(schedule))
+        assert_prefix_stats(rechunk((compiled,), chunk_moves), schedule.moves)
         assert_prefix_stats(chunks_from_schedule(schedule, chunk_moves), schedule.moves)
-        resliced = rechunk(compiled.iter_chunks(7), chunk_moves)
+        resliced = rechunk(rechunk((compiled,), 7), chunk_moves)
         assert_prefix_stats(resliced, schedule.moves)
 
     def test_time_run_split_across_chunks(self):
@@ -199,12 +203,12 @@ class TestAggregateFold:
             for time, agent, kind, role in sorted(rows, key=lambda r: r[0])
         ]
         schedule = Schedule(dimension=1, strategy="rows", moves=moves, team_size=1)
-        compiled = CompiledSchedule.from_schedule(schedule)
-        assert_prefix_stats(compiled.iter_chunks(chunk_moves), moves)
+        compiled = concat_chunks(chunks_from_schedule(schedule))
+        assert_prefix_stats(rechunk((compiled,), chunk_moves), moves)
         # negative ids never come from a Move; feed them as raw columns
         if any(agent < 0 for _, agent, _, _ in rows):
             compiled.agents[0] = -3
-            *_, last = compiled.iter_chunks(chunk_moves)
+            *_, last = refolded(compiled, chunk_moves)
             distinct = {compiled.agents[i] for i in range(len(compiled.agents))}
             assert last.stats_so_far.agents_used == len(distinct)
 
@@ -225,14 +229,41 @@ class TestRechunkPassThrough:
         assert_same_chunks(iter(out), strategy.generate_chunks(Hypercube(6), len(whole)))
 
 
+class TestWholeScheduleChunker:
+    @pytest.mark.parametrize("name", sorted(available_strategies()))
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rechunk_of_the_whole_is_the_producer_stream(self, name, d):
+        """The whole schedule, sliced at any size — one move, a prime,
+        one short of, exactly and one past its length, the default — is
+        the producer's stream at that size, chunk for chunk: a length
+        that is a multiple of the size ends on an empty final chunk."""
+        strategy = get_strategy(name)
+        cube = Hypercube(d)
+        whole = concat_chunks(chunks_from_schedule(strategy.generate(cube)))
+        total = len(whole)
+        for chunk_moves in (1, 7, max(total - 1, 1), total, total + 1, 65536):
+            assert_same_chunks(
+                rechunk((whole,), chunk_moves), strategy.generate_chunks(cube, chunk_moves)
+            )
+
+
 # --------------------------------------------------------------------- #
 # same errors at the same point of the stream
 # --------------------------------------------------------------------- #
 
 
-def _inverted(at: int) -> CompiledSchedule:
+def refolded(whole: ScheduleChunk, chunk_moves: int):
+    """The rows of ``whole`` through the one chunk assembler, which
+    folds every slice afresh (``rechunk`` would pass a whole chunk no
+    longer than ``chunk_moves`` through as it is)."""
+    return assemble_chunks(whole.header, _reslice_blocks(iter([whole])), chunk_moves)
+
+
+def _inverted(at: int) -> ScheduleChunk:
     """visibility d=4 with row ``at`` moved one time unit back."""
-    compiled = CompiledSchedule.from_schedule(get_strategy("visibility").generate(Hypercube(4)))
+    compiled = concat_chunks(
+        chunks_from_schedule(get_strategy("visibility").generate(Hypercube(4)))
+    )
     assert compiled.times[at] > compiled.times[at - 1]
     compiled.times[at] = compiled.times[at - 1] - 1
     return compiled
@@ -258,17 +289,15 @@ class TestTimeInversion:
 
     @pytest.mark.parametrize("chunk_moves", SIZES)
     def test_compiled_chunks(self, chunk_moves):
-        delivered, text = _drain(_inverted(self.AT).iter_chunks(chunk_moves))
+        delivered, text = _drain(refolded(_inverted(self.AT), chunk_moves))
         assert text == "chunk stream goes back in time (1 < 2)"
         assert delivered == self.AT // chunk_moves * chunk_moves
 
     @pytest.mark.parametrize("chunk_moves", SIZES)
     def test_move_stream(self, chunk_moves):
         compiled = _inverted(self.AT)
-        moves = compiled.to_schedule().moves
-        delivered, text = _drain(
-            chunk_move_stream(compiled.stream_header(), iter(moves), chunk_moves)
-        )
+        moves = chunks_to_schedule((compiled,)).moves
+        delivered, text = _drain(chunk_move_stream(compiled.header, iter(moves), chunk_moves))
         assert text == "chunk stream goes back in time (1 < 2)"
         assert delivered == self.AT // chunk_moves * chunk_moves
 

@@ -1,9 +1,9 @@
-"""Tests for the fast-path plane: compiled schedules, cache, batch verify.
+"""Tests for the fast-path plane: whole-schedule chunks, cache, batch verify.
 
 Three contracts, each exercised end to end:
 
-* **losslessness** — ``compile -> cache entry -> load -> decompile`` is
-  the identity on every generator's output, metadata included;
+* **losslessness** — ``whole chunk -> cache entry -> load -> Schedule``
+  is the identity on every generator's output, metadata included;
 * **verdict equivalence** — :func:`repro.fastpath.batch_verify` agrees
   with the classic :class:`~repro.analysis.verify.ScheduleVerifier` on
   clean schedules *and* on seeded violations (one move per time unit,
@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.sweeps import measure_cell, run_sweep
 from repro.analysis.verify import verify_schedule
+from repro.core.chunkstream import chunks_from_schedule, chunks_to_schedule, concat_chunks
 from repro.core.schedule import Move, MoveKind, Schedule
 from repro.core.states import AgentRole
 from repro.core.strategy import (
@@ -26,12 +27,12 @@ from repro.core.strategy import (
 )
 from repro.errors import ScheduleCacheError, ScheduleError
 from repro.fastpath import (
-    CompiledSchedule,
     ScheduleCache,
     batch_verify,
     decode_metadata,
     encode_metadata,
     fingerprint,
+    measure_chunks,
     measure_schedule,
 )
 from repro.fastpath.cache import _CHUNK_PREAMBLE, _CHUNK_RECORD
@@ -50,6 +51,11 @@ def seeded(moves, team, d=2, **kwargs):
     return Schedule(dimension=d, strategy="seeded", moves=moves, team_size=team, **kwargs)
 
 
+def whole(schedule):
+    """``schedule`` as one whole-schedule chunk."""
+    return concat_chunks(chunks_from_schedule(schedule))
+
+
 # --------------------------------------------------------------------- #
 # compile / decompile / cache entry
 # --------------------------------------------------------------------- #
@@ -58,7 +64,7 @@ def seeded(moves, team, d=2, **kwargs):
 def round_trip(tmp_path, compiled):
     """``compiled`` through one cache entry: store, then load."""
     cache = ScheduleCache(tmp_path)
-    fp = fingerprint(compiled.strategy, "probe", compiled.dimension)
+    fp = fingerprint(compiled.header.strategy, "probe", compiled.header.dimension)
     cache.store(fp, compiled)
     loaded = cache.load(fp)
     assert cache.stats.hits == 1 and cache.stats.corrupt == 0
@@ -70,33 +76,32 @@ class TestRoundTrip:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_exact_round_trip(self, name, d, tmp_path):
         schedule = get_strategy(name).run(d)
-        compiled = CompiledSchedule.from_schedule(schedule)
+        compiled = whole(schedule)
         loaded = round_trip(tmp_path, compiled)
         assert loaded == compiled  # header fields, columns, stats, metadata
-        back = loaded.to_schedule()
+        back = chunks_to_schedule((loaded,))
         assert back == schedule  # moves, metadata, flags — everything
         assert back.metadata == schedule.metadata
         assert [type(m.kind) for m in back.moves] == [type(m.kind) for m in schedule.moves]
 
     def test_stats_block_matches_scan(self):
         schedule = get_strategy("clean").run(5)
-        compiled = CompiledSchedule.from_schedule(schedule)
-        assert compiled.aggregates() == schedule.aggregates()
-        assert compiled.verify_stats()
-        assert compiled.total_moves == schedule.total_moves
-        assert compiled.makespan == schedule.makespan
+        compiled = whole(schedule)
+        assert compiled.stats_so_far == schedule.aggregates()
+        assert compiled.stats_so_far.total_moves == schedule.total_moves
+        assert compiled.stats_so_far.makespan == schedule.makespan
 
     def test_decompiled_schedule_measures_without_rescan(self):
-        compiled = CompiledSchedule.from_schedule(get_strategy("visibility").run(4))
-        back = compiled.to_schedule()
+        compiled = whole(get_strategy("visibility").run(4))
+        back = chunks_to_schedule((compiled,))
         # the stats block is handed over, not recomputed
-        assert back._agg is compiled.stats
-        assert measure_schedule(back) == measure_schedule(compiled)
+        assert back._agg is compiled.stats_so_far
+        assert measure_schedule(back) == measure_chunks((compiled,))
 
     def test_metadata_round_trips_int_keys_and_tuples(self, tmp_path):
         payload = {"extras_per_level": {1: 2, 3: 4}, "pair": (1, "a"), "xs": [1, 2]}
         assert decode_metadata(encode_metadata(payload)) == payload
-        compiled = CompiledSchedule.from_schedule(get_strategy("clean").run(3))
+        compiled = whole(get_strategy("clean").run(3))
         compiled.metadata = payload
         loaded = round_trip(tmp_path, compiled)
         assert loaded.metadata == payload
@@ -106,7 +111,7 @@ class TestRoundTrip:
     def test_blob_rejects_garbage(self, tmp_path):
         """Every damaged entry is a corrupt miss: ``load`` returns
         ``None``, counts it and deletes the file."""
-        compiled = CompiledSchedule.from_schedule(get_strategy("clean").run(3))
+        compiled = whole(get_strategy("clean").run(3))
         fp = fingerprint("clean", "probe", 3)
         blob = ScheduleCache(tmp_path / "pristine").store(fp, compiled).read_bytes()
         header_end = _CHUNK_PREAMBLE.size + _CHUNK_PREAMBLE.unpack_from(blob)[2]
@@ -149,7 +154,7 @@ VERDICT_FIELDS = (
 
 def assert_same_verdict(schedule):
     classic = verify_schedule(schedule)
-    batch = batch_verify(CompiledSchedule.from_schedule(schedule))
+    batch = batch_verify(whole(schedule))
     for f in VERDICT_FIELDS:
         assert getattr(classic, f) == getattr(batch, f), f
     return classic, batch
@@ -194,10 +199,10 @@ class TestBatchVerifyEquivalence:
             with pytest.raises(ScheduleError):
                 verify_schedule(bad)
             with pytest.raises(ScheduleError):
-                batch_verify(CompiledSchedule.from_schedule(bad))
+                batch_verify(whole(bad))
 
     def test_summary_format_matches_classic(self):
-        batch = batch_verify(CompiledSchedule.from_schedule(get_strategy("clean").run(3)))
+        batch = batch_verify(whole(get_strategy("clean").run(3)))
         assert batch.summary().startswith("[OK] clean(d=3):")
 
 
@@ -212,10 +217,10 @@ class TestScheduleCache:
         strategy = get_strategy("visibility")
         fp, compiled = cache.load_compiled(strategy, 4)
         assert compiled is None and cache.stats.misses == 1
-        cache.store(fp, CompiledSchedule.from_schedule(strategy.run(4)))
+        cache.store(fp, whole(strategy.run(4)))
         _, warm = cache.load_compiled(strategy, 4)
         assert warm is not None and cache.stats.hits == 1
-        assert warm.to_schedule() == strategy.run(4)
+        assert chunks_to_schedule((warm,)) == strategy.run(4)
 
     def test_fingerprint_sensitivity(self):
         base = fingerprint("clean", "1", 4, {})
@@ -229,7 +234,7 @@ class TestScheduleCache:
         cache = ScheduleCache(tmp_path)
         strategy = get_strategy("clean")
         fp = cache.fingerprint_of(strategy, 3)
-        cache.store(fp, CompiledSchedule.from_schedule(strategy.run(3)))
+        cache.store(fp, whole(strategy.run(3)))
         path = cache.path_for(fp)
         path.write_bytes(path.read_bytes()[:10])  # torn write
         assert cache.load(fp) is None
@@ -243,7 +248,7 @@ class TestScheduleCache:
         cache = ScheduleCache(tmp_path)
         strategy = get_strategy("cloning")
         fp = cache.fingerprint_of(strategy, 4)
-        cache.store(fp, CompiledSchedule.from_schedule(strategy.run(4)))
+        cache.store(fp, whole(strategy.run(4)))
         path = cache.path_for(fp)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x40
@@ -335,9 +340,7 @@ class TestScheduleCache:
         legacy.write_bytes(b"RPRC" + bytes(60))
         assert cache.load(fp) is None
         assert cache.stats.misses == 1 and cache.stats.corrupt == 0
-        assert cache.compiled_for(strategy, 3) == CompiledSchedule.from_schedule(
-            strategy.run(3)
-        )
+        assert concat_chunks(cache.stream_chunks(strategy, 3)) == whole(strategy.run(3))
         assert cache.stats.hits == 0 and cache.stats.stores == 1
         assert legacy.exists()
         assert [p.name for p in cache.entries()] == [f"{fp}.rprk"]
@@ -397,9 +400,9 @@ class TestMeasureCell:
 
     def test_measure_schedule_shared_by_both_forms(self):
         schedule = get_strategy("clean").run(4)
-        compiled = CompiledSchedule.from_schedule(schedule)
+        compiled = whole(schedule)
         values = measure_schedule(schedule)
-        assert values == measure_schedule(compiled)
+        assert values == measure_chunks((compiled,))
         assert values["agents"] == schedule.team_size
         assert values["moves"] == schedule.total_moves
         assert values["steps"] == schedule.makespan

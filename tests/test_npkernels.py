@@ -4,8 +4,8 @@ The kernels' one contract is *byte-identity* with the per-move
 reference paths they replace on the hot path: same verdicts, same error
 indices and messages, same batch statistics.  Three layers of evidence:
 
-* **plane primitives** — pack/shift/spread/translate/popcount/connect
-  against brute-force set arithmetic on node lists;
+* **plane primitives** — pack/shift/spread/popcount/connect against
+  brute-force set arithmetic on node lists;
 * **verifier parity** — ``batch_verify``/``batch_verify_chunks`` against
   a ``_ReplayState`` fed the same columns, on clean and deliberately
   corrupted schedules, monolithic and chunked at randomized chunk sizes,
@@ -39,10 +39,12 @@ from hypothesis import strategies as st
 
 import repro.fastpath.npkernels as npk
 from repro.analysis.sweeps import measure_cell
+from repro.analysis.verify import verify_schedule
+from repro.core.chunkstream import ScheduleChunk, chunks_from_schedule, concat_chunks, rechunk
 from repro.core.strategy import available_strategies, get_strategy
 from repro.errors import ReproError, ScheduleError
 from repro.exec import parallel_sweep
-from repro.fastpath import CompiledSchedule, batch_verify, batch_verify_chunks, batchsim
+from repro.fastpath import batch_verify, batch_verify_chunks, batchsim
 from repro.fastpath.batchsim import BatchResult, BatchScenarioSpec, run_batch
 from repro.fastpath.batchverify import _ReplayState
 from repro.obs.trace import Tracer
@@ -59,25 +61,31 @@ QUICK = settings(
 _COMPILED_CACHE = {}
 
 
-def compiled_for(name: str, d: int) -> CompiledSchedule:
-    """Memoized schedules so hypothesis reruns don't regenerate."""
+def compiled_for(name: str, d: int) -> ScheduleChunk:
+    """Memoized whole schedules so hypothesis reruns don't regenerate."""
     key = (name, d)
     if key not in _COMPILED_CACHE:
-        _COMPILED_CACHE[key] = CompiledSchedule.from_schedule(
-            get_strategy(name).generate(Hypercube(d))
+        _COMPILED_CACHE[key] = concat_chunks(
+            chunks_from_schedule(get_strategy(name).generate(Hypercube(d)))
         )
     return _COMPILED_CACHE[key]
 
 
-def replay_verify(compiled: CompiledSchedule):
+def with_team(whole: ScheduleChunk, team: int) -> ScheduleChunk:
+    """``whole`` with its header declaring a team of ``team``."""
+    return dataclasses.replace(whole, header=dataclasses.replace(whole.header, team_size=team))
+
+
+def replay_verify(compiled: ScheduleChunk):
     """The reference verdict: a ``_ReplayState`` fed the whole columns."""
+    header, stats = compiled.header, compiled.stats_so_far
     state = _ReplayState(
-        compiled.dimension,
-        compiled.strategy,
-        compiled.homebase,
-        compiled.uses_cloning,
-        max(compiled.team_size, compiled.stats.agents_used, 1),
-        Hypercube(compiled.dimension),
+        header.dimension,
+        header.strategy,
+        header.homebase,
+        header.uses_cloning,
+        max(header.team_size, stats.agents_used, 1),
+        Hypercube(header.dimension),
     )
     state.feed(
         compiled.times.tolist(),
@@ -85,9 +93,8 @@ def replay_verify(compiled: CompiledSchedule):
         compiled.srcs.tolist(),
         compiled.dsts.tolist(),
     )
-    stats = compiled.stats
     return state.finish(
-        compiled.team_size, stats.agents_used, stats.total_moves, stats.makespan
+        header.team_size, stats.agents_used, stats.total_moves, stats.makespan
     )
 
 
@@ -195,17 +202,6 @@ class TestPlanePrimitives:
         assert sorted(np.nonzero(npk.unpack_plane(shifted, n))[0].tolist()) == expected
 
     @QUICK
-    @given(case=node_sets, xor=st.integers(min_value=0, max_value=255))
-    def test_translate_is_xor_automorphism(self, case, xor):
-        d, nodes = case
-        n = 1 << d
-        xor &= n - 1
-        plane = npk.pack_nodes(np.array(nodes, dtype=np.int64), n)
-        moved = npk.plane_translate(plane, xor, d)
-        expected = sorted(v ^ xor for v in nodes)
-        assert sorted(np.nonzero(npk.unpack_plane(moved, n))[0].tolist()) == expected
-
-    @QUICK
     @given(case=node_sets)
     def test_spread_is_neighbourhood_union(self, case):
         d, nodes = case
@@ -238,17 +234,6 @@ class TestPlanePrimitives:
             expected = seen == members
         assert npk.plane_connected(plane, d, start) == expected
 
-    @QUICK
-    @given(
-        d=st.integers(min_value=2, max_value=8),
-        masks=st.lists(st.integers(min_value=0), min_size=1, max_size=6),
-    )
-    def test_mask_matrix_roundtrip(self, d, masks):
-        n = 1 << d
-        masks = [m & ((1 << n) - 1) for m in masks]
-        matrix = npk.mask_list_to_matrix(masks, n)
-        assert npk.matrix_to_mask_list(matrix) == masks
-
 
 # --------------------------------------------------------------------- #
 # verifier parity: verdicts, error indices, error messages
@@ -263,7 +248,7 @@ def _outcome(fn):
         return ("raise", type(exc).__name__, str(exc))
 
 
-def _rebuilt(base: CompiledSchedule, edit) -> CompiledSchedule:
+def _rebuilt(base: ScheduleChunk, edit) -> ScheduleChunk:
     """``base`` with all six columns passed through ``edit`` (one list of
     rows -> another) and the aggregate block re-derived to match."""
     names = ("times", "agents", "srcs", "dsts", "kinds", "roles")
@@ -273,17 +258,17 @@ def _rebuilt(base: CompiledSchedule, edit) -> CompiledSchedule:
         for i, name in enumerate(names)
     }
     stats = dataclasses.replace(
-        base.stats,
+        base.stats_so_far,
         total_moves=len(rows),
         makespan=max((row[0] for row in rows), default=0),
         agents_used=len({row[1] for row in rows}),
     )
-    return dataclasses.replace(base, stats=stats, **columns)
+    return dataclasses.replace(base, stats_so_far=stats, **columns)
 
 
-def _inject(base: CompiledSchedule, mode: str, idx: int) -> CompiledSchedule:
+def _inject(base: ScheduleChunk, mode: str, idx: int) -> ScheduleChunk:
     """One fault at row ``idx``, applied to every column consistently."""
-    n = 1 << base.dimension
+    n = 1 << base.header.dimension
 
     def row_edit(fn):
         return lambda rows: rows[:idx] + fn(rows[idx], rows[idx + 1 :])
@@ -314,7 +299,7 @@ DELAY_DIMENSIONS = range(2, 6)
 DELAY_LAGS = (1, 2, 4)
 
 
-def delayed_suffix(base: CompiledSchedule, idx: int, lag: int) -> CompiledSchedule:
+def delayed_suffix(base: ScheduleChunk, idx: int, lag: int) -> ScheduleChunk:
     """The agent of row ``idx`` runs ``lag`` units late from that row on:
     its moves there and after are shifted, and the rows stably re-sorted
     by time.  Unlike the eight point faults, this often vacates a node
@@ -368,7 +353,7 @@ class TestVerifierParity:
         compiled = compiled_for(name, d)
         reference = replay_verify(compiled)
         assert batch_verify(compiled) == reference
-        assert batch_verify_chunks(compiled.iter_chunks(chunk_moves)) == reference
+        assert batch_verify_chunks(rechunk((compiled,), chunk_moves)) == reference
         assert reference.ok
 
     @QUICK
@@ -394,8 +379,8 @@ class TestVerifierParity:
         # chunked reference is the replay fed the same chunks
         chunk_moves = data.draw(st.integers(min_value=1, max_value=total + 1))
         assert _outcome(
-            lambda: batch_verify_chunks(compiled.iter_chunks(chunk_moves))
-        ) == _outcome(lambda: replay_verify_chunks(compiled.iter_chunks(chunk_moves)))
+            lambda: batch_verify_chunks(rechunk((compiled,), chunk_moves))
+        ) == _outcome(lambda: replay_verify_chunks(rechunk((compiled,), chunk_moves)))
 
     @pytest.mark.parametrize("name", DELAY_STRATEGIES)
     def test_delayed_suffix_every_row(self, name):
@@ -406,8 +391,8 @@ class TestVerifierParity:
             reference = _outcome(lambda: replay_verify(compiled))
             assert _outcome(lambda: batch_verify(compiled)) == reference, case
             assert _outcome(
-                lambda: batch_verify_chunks(compiled.iter_chunks(7))
-            ) == _outcome(lambda: replay_verify_chunks(compiled.iter_chunks(7))), case
+                lambda: batch_verify_chunks(rechunk((compiled,), 7))
+            ) == _outcome(lambda: replay_verify_chunks(rechunk((compiled,), 7))), case
             recontaminated += reference[0] == "report" and not reference[1].monotone
         assert recontaminated > 0
 
@@ -420,9 +405,9 @@ class TestVerifierParity:
             reference = _outcome(lambda: replay_verify(compiled))
             fast = _outcome(lambda: batch_verify(compiled))
             assert fast == reference, case
-            chunked = _outcome(lambda: batch_verify_chunks(compiled.iter_chunks(7)))
+            chunked = _outcome(lambda: batch_verify_chunks(rechunk((compiled,), 7)))
             assert chunked == _outcome(
-                lambda: replay_verify_chunks(compiled.iter_chunks(7))
+                lambda: replay_verify_chunks(rechunk((compiled,), 7))
             ), case
             assert _failing_report_declined(fast), case
             assert _failing_report_declined(chunked), case
@@ -435,23 +420,46 @@ class TestVerifierParity:
         cases = 0
         for d in range(2, 6):
             base = compiled_for(name, d)
-            for team in range(1, base.team_size):
-                short = dataclasses.replace(base, team_size=team)
+            for team in range(1, base.header.team_size):
+                short = with_team(base, team)
                 for chunk_moves in (1, 7, len(base.times)):
                     fast = _outcome(
-                        lambda: batch_verify_chunks(short.iter_chunks(chunk_moves))
+                        lambda: batch_verify_chunks(rechunk((short,), chunk_moves))
                     )
                     assert fast == _outcome(
-                        lambda: replay_verify_chunks(short.iter_chunks(chunk_moves))
+                        lambda: replay_verify_chunks(rechunk((short,), chunk_moves))
                     ), (d, team, chunk_moves)
-                    if not base.uses_cloning:
+                    if not base.header.uses_cloning:
                         # a clone adds its own guard: cloning runs out of
                         # team only at the verdict
+                        homebase = base.header.homebase
                         assert fast == (
-                            "raise", "SimulationError", f"no agent on {base.homebase} to move"
+                            "raise", "SimulationError", f"no agent on {homebase} to move"
                         ), (d, team, chunk_moves)
                     cases += 1
         assert cases > 0
+
+    def test_whole_schedule_team_too_small(self):
+        """A whole schedule that declares fewer agents than its moves use:
+        ``batch_verify`` seeds the homebase with the whole schedule's
+        agent count, as ``verify_schedule`` does, so both raise the same
+        error at the verdict, never where the homebase runs out."""
+        cases = 0
+        for name in ALL_STRATEGIES:
+            for d in range(2, 5):
+                schedule = get_strategy(name).generate(Hypercube(d))
+                for team in range(1, schedule.team_size):
+                    short = dataclasses.replace(schedule, team_size=team)
+                    classic = _outcome(lambda: verify_schedule(short))
+                    assert classic == (
+                        "raise",
+                        "ScheduleError",
+                        f"{schedule.agents_used()} agents appear in moves but team_size={team}",
+                    ), (name, d, team)
+                    whole = with_team(compiled_for(name, d), team)
+                    assert _outcome(lambda: batch_verify(whole)) == classic, (name, d, team)
+                    cases += 1
+        assert cases == 62
 
     def test_open_unit_structure_error_at_every_chunk_size(self):
         """A malformed row in the time unit a chunk ends on is reported
@@ -459,11 +467,11 @@ class TestVerifierParity:
         next chunk can fire."""
         compiled = _inject(compiled_for("clean", 3), "swap", 16)
         for chunk_moves in range(1, len(compiled.times) + 1):
-            fast = _outcome(lambda: batch_verify_chunks(compiled.iter_chunks(chunk_moves)))
+            fast = _outcome(lambda: batch_verify_chunks(rechunk((compiled,), chunk_moves)))
             assert fast == _outcome(
-                lambda: replay_verify_chunks(compiled.iter_chunks(chunk_moves))
+                lambda: replay_verify_chunks(rechunk((compiled,), chunk_moves))
             ), chunk_moves
-        assert _outcome(lambda: batch_verify_chunks(compiled.iter_chunks(1))) == (
+        assert _outcome(lambda: batch_verify_chunks(rechunk((compiled,), 1))) == (
             "raise",
             "ScheduleError",
             "move #16: agent 0 moves from 1 but is at 5",
@@ -485,7 +493,7 @@ class TestDeclinedBlocks:
         compiled = compiled_for(name, d)
         for report in (
             batch_verify(compiled),
-            batch_verify_chunks(compiled.iter_chunks(chunk_moves)),
+            batch_verify_chunks(rechunk((compiled,), chunk_moves)),
         ):
             assert report.ok
             assert report.declined == 0
@@ -508,12 +516,10 @@ class TestDeclinedBlocks:
         rows) as one kernel block: the chunked stream's verdict and the
         reference's, with no decline; and a delayed suffix in the middle
         of that block reaches the reference's verdict through one."""
-        compiled = CompiledSchedule.from_chunks(
-            get_strategy(name).generate_chunks(Hypercube(14), 65536)
-        )
+        compiled = concat_chunks(get_strategy(name).generate_chunks(Hypercube(14), 65536))
         assert len(compiled.times) > 65536
         whole = batch_verify(compiled)
-        chunked = batch_verify_chunks(compiled.iter_chunks(65536))
+        chunked = batch_verify_chunks(rechunk((compiled,), 65536))
         assert whole.ok
         assert whole == chunked == replay_verify(compiled)
         assert (whole.declined, chunked.declined) == (0, 0)
@@ -528,7 +534,7 @@ class TestDeclinedBlocks:
         broken = _inject(compiled, "drop", 6)  # recontaminates nodes 1 and 0
         tracer = Tracer(run_id="t-declined")
         good = batch_verify(compiled, tracer=tracer)
-        bad = batch_verify_chunks(broken.iter_chunks(4), tracer=tracer)
+        bad = batch_verify_chunks(rechunk((broken,), 4), tracer=tracer)
         assert not bad.monotone
         assert (good.declined, bad.declined) == (0, 1)
         attrs = {s.name: s.attrs for s in tracer.spans}

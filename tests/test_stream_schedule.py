@@ -5,7 +5,7 @@ Four contracts:
 * **equivalence** — for every strategy and any chunk size (one move, a
   prime, a power of two, larger than the whole schedule), the chunked
   pipeline is indistinguishable from the monolithic one: concatenated
-  chunks compile to an equal ``CompiledSchedule`` (header fields,
+  chunks assemble to an equal whole-schedule chunk (header fields,
   columns, stats and metadata), ``batch_verify_chunks`` returns the
   same report, ``measure_chunks`` the same metric columns;
 * **boundedness** — a native streaming producer feeding the streaming
@@ -13,10 +13,10 @@ Four contracts:
   (``tracemalloc`` ceiling at d=14, where the move plane alone is tens
   of megabytes);
 * **warm-path materialization** — columnar consumers served from a warm
-  cache (``compiled_for``, ``stream_chunks``) construct zero ``Move``
+  cache (``stream_chunks``, assembled or not) construct zero ``Move``
   objects, and so do a cold cell, a default ``measure_cell`` call and a
   cold ``compile_for_spec`` of a strategy with a columnar producer;
-  only ``schedule_for`` decompiles;
+  only ``schedule_for`` materializes;
 * **chunked cache robustness** — the one entry layout round-trips
   cold→warm with per-chunk counters, splices over a corrupt chunk by
   regenerating, and serves every accessor.
@@ -31,13 +31,14 @@ from hypothesis import strategies as st
 from repro.analysis.sweeps import measure_cell
 from repro.core.chunkstream import (
     DEFAULT_CHUNK_MOVES,
+    chunks_from_schedule,
     chunks_to_schedule,
+    concat_chunks,
     rechunk,
 )
 from repro.core.schedule import Move
 from repro.core.strategy import available_strategies, get_strategy, set_active_cache
 from repro.fastpath import (
-    CompiledSchedule,
     ScheduleCache,
     batch_verify,
     batch_verify_chunks,
@@ -61,6 +62,11 @@ QUICK = settings(
 )
 
 
+def whole(schedule):
+    """``schedule`` as one whole-schedule chunk."""
+    return concat_chunks(chunks_from_schedule(schedule))
+
+
 def no_moves_allowed(monkeypatch):
     """Make any ``Move`` construction fail the test."""
 
@@ -81,8 +87,8 @@ class TestChunkedEquivalence:
     def test_bytes_identical(self, name, chunk_moves):
         strategy = get_strategy(name)
         cube = Hypercube(5)
-        mono = CompiledSchedule.from_schedule(strategy.generate(cube))
-        chunked = CompiledSchedule.from_chunks(
+        mono = whole(strategy.generate(cube))
+        chunked = concat_chunks(
             strategy.generate_chunks(cube, chunk_moves)
         )
         assert chunked == mono
@@ -92,7 +98,7 @@ class TestChunkedEquivalence:
     def test_verdict_identical(self, name, chunk_moves):
         strategy = get_strategy(name)
         cube = Hypercube(4)
-        classic = batch_verify(CompiledSchedule.from_schedule(strategy.generate(cube)))
+        classic = batch_verify(whole(strategy.generate(cube)))
         streamed = batch_verify_chunks(strategy.generate_chunks(cube, chunk_moves))
         assert streamed == classic
         assert streamed.ok
@@ -121,8 +127,8 @@ class TestChunkedEquivalence:
     def test_random_chunk_sizes(self, chunk_moves, name, d):
         strategy = get_strategy(name)
         cube = Hypercube(d)
-        mono = CompiledSchedule.from_schedule(strategy.generate(cube))
-        chunked = CompiledSchedule.from_chunks(
+        mono = whole(strategy.generate(cube))
+        chunked = concat_chunks(
             strategy.generate_chunks(cube, chunk_moves)
         )
         assert chunked == mono
@@ -138,8 +144,8 @@ class TestChunkedEquivalence:
     def test_rechunk_is_pure_column_surgery(self, source, target):
         strategy = get_strategy("clean")
         cube = Hypercube(5)
-        mono = CompiledSchedule.from_schedule(strategy.generate(cube))
-        rechunked = CompiledSchedule.from_chunks(
+        mono = whole(strategy.generate(cube))
+        rechunked = concat_chunks(
             rechunk(strategy.generate_chunks(cube, source), target)
         )
         assert rechunked == mono
@@ -229,11 +235,11 @@ class TestWarmPathNoMoves:
     def test_compiled_for_warm_hit_builds_no_moves(self, tmp_path, monkeypatch):
         cache = ScheduleCache(tmp_path)
         strategy = get_strategy("visibility")
-        cache.compiled_for(strategy, 4)  # cold: generates, stores
+        concat_chunks(cache.stream_chunks(strategy, 4))  # cold: generates, stores
         no_moves_allowed(monkeypatch)
-        compiled = cache.compiled_for(strategy, 4)  # warm: bytes -> columns
+        compiled = concat_chunks(cache.stream_chunks(strategy, 4))  # warm: bytes -> columns
         assert cache.stats.hits == 1
-        assert measure_schedule(compiled)["moves"] == compiled.total_moves
+        assert measure_chunks((compiled,))["moves"] == compiled.stats_so_far.total_moves
         assert batch_verify(compiled).ok
 
     def test_stream_chunks_warm_hit_builds_no_moves(self, tmp_path, monkeypatch):
@@ -273,7 +279,7 @@ class TestWarmPathNoMoves:
     def test_cold_compile_for_spec_builds_no_moves(self, name, monkeypatch):
         from repro.fastpath.batchsim import BatchScenarioSpec, compile_for_spec
 
-        reference = CompiledSchedule.from_schedule(get_strategy(name).generate(Hypercube(6)))
+        reference = whole(get_strategy(name).generate(Hypercube(6)))
         no_moves_allowed(monkeypatch)
         assert compile_for_spec(BatchScenarioSpec(dimension=6, strategy=name)) == reference
 
@@ -281,7 +287,7 @@ class TestWarmPathNoMoves:
         """The probe is real: the decompiling accessor must trip it."""
         cache = ScheduleCache(tmp_path)
         strategy = get_strategy("clean")
-        cache.compiled_for(strategy, 3)
+        concat_chunks(cache.stream_chunks(strategy, 3))
         no_moves_allowed(monkeypatch)
         with pytest.raises(AssertionError, match="materialized a Move"):
             cache.schedule_for(strategy, 3)
@@ -344,6 +350,19 @@ class TestChunkedCache:
     def warm(self, cache, strategy, d, chunk_moves=32):
         return list(cache.stream_chunks(strategy, d, chunk_moves=chunk_moves))
 
+    def test_store_writes_the_streamed_entry_bytes(self, tmp_path):
+        """visibility d=15 is 2 x 65,536 moves: ``store`` of the whole
+        schedule ends, like the streamed entry, on an empty final chunk,
+        so the two entries are the same bytes."""
+        strategy = get_strategy("visibility")
+        streamed = ScheduleCache(tmp_path / "streamed")
+        self.warm(streamed, strategy, 15, chunk_moves=DEFAULT_CHUNK_MOVES)
+        whole = concat_chunks(strategy.generate_chunks(Hypercube(15)))
+        assert len(whole) == 2 * DEFAULT_CHUNK_MOVES
+        fp = streamed.fingerprint_of(strategy, 15)
+        stored = ScheduleCache(tmp_path / "stored").store(fp, whole)
+        assert stored.read_bytes() == streamed.path_for(fp).read_bytes()
+
     def test_cold_then_warm_counters_and_bytes(self, tmp_path):
         cache = ScheduleCache(tmp_path)
         strategy = get_strategy("cloning")
@@ -355,8 +374,8 @@ class TestChunkedCache:
         warm = self.warm(cache, strategy, 4)
         assert cache.stats.hits == 1
         assert cache.stats.chunk_hits == len(warm)
-        assert CompiledSchedule.from_chunks(iter(warm)) == (
-            CompiledSchedule.from_chunks(iter(cold))
+        assert concat_chunks(iter(warm)) == (
+            concat_chunks(iter(cold))
         )
 
     def test_warm_rechunk_serves_any_size(self, tmp_path):
@@ -365,14 +384,14 @@ class TestChunkedCache:
         self.warm(cache, strategy, 4, chunk_moves=64)
         resliced = self.warm(cache, strategy, 4, chunk_moves=17)
         assert all(len(c) == 17 for c in resliced[:-1])
-        assert CompiledSchedule.from_chunks(iter(resliced)) == (
-            CompiledSchedule.from_schedule(strategy.generate(Hypercube(4)))
+        assert concat_chunks(iter(resliced)) == (
+            whole(strategy.generate(Hypercube(4)))
         )
 
     def test_corrupt_chunk_splices_regeneration(self, tmp_path):
         cache = ScheduleCache(tmp_path)
         strategy = get_strategy("clean")
-        baseline = CompiledSchedule.from_chunks(
+        baseline = concat_chunks(
             iter(self.warm(cache, strategy, 5, chunk_moves=16))
         )
         path = cache.path_for(cache.fingerprint_of(strategy, 5))
@@ -381,7 +400,7 @@ class TestChunkedCache:
         path.write_bytes(bytes(blob))
         spliced = self.warm(cache, strategy, 5, chunk_moves=16)
         assert cache.stats.corrupt == 1
-        assert CompiledSchedule.from_chunks(iter(spliced)) == baseline
+        assert concat_chunks(iter(spliced)) == baseline
         # the regenerated entry is republished and clean again
         self.warm(cache, strategy, 5, chunk_moves=16)
         assert cache.stats.corrupt == 1
@@ -401,8 +420,8 @@ class TestChunkedCache:
         cache = ScheduleCache(tmp_path)
         served = list(cache.stream_chunks(strategy, 4, chunk_moves=8))
         assert cache.stats.corrupt == 1 and cache.stats.hits == 0
-        assert CompiledSchedule.from_chunks(iter(served)) == (
-            CompiledSchedule.from_schedule(strategy.generate(Hypercube(4)))
+        assert concat_chunks(iter(served)) == (
+            whole(strategy.generate(Hypercube(4)))
         )
         # the regenerated entry is clean
         again = ScheduleCache(tmp_path)
