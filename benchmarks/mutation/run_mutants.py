@@ -1,16 +1,17 @@
-"""Verifier mutants that once survived the test suite must stay killed.
+"""Fast-path and lint mutants that the test suite must keep killing.
 
 Each mutant below is a one-line change to the batch verifier (the
-bit-plane kernel or its entry points) that passed every test at some
-point.  A test was added for each one; this
-script keeps it that way.  For every mutant it copies ``src/``,
-``tests/``, ``conftest.py`` and ``pyproject.toml`` to a temporary
-directory, replaces the one target line there (matched exactly, leading
-whitespace aside, and required to be unique) and runs ``pytest -x`` on
-the mutant's killing tests against that copy.  Only a test failure
-(pytest exit status 1) counts as a kill.  A control run of every
-killing test on an unmutated copy goes first and must pass, so a broken
-suite cannot pass for a kill.
+bit-plane kernel or its entry points) or to the linter's import-layering
+check.  The verifier mutants passed every test at some point, and a
+test was added for each one; the layering mutants pin the one check
+that serves RPR200–RPR230.  This script keeps them all killed.  For
+every mutant it copies ``src/``, ``tests/``, ``conftest.py`` and
+``pyproject.toml`` to a temporary directory, replaces the one target
+line there (matched exactly, leading whitespace aside, and required to
+be unique) and runs ``pytest -x`` on the mutant's killing tests against
+that copy.  Only a test failure (pytest exit status 1) counts as a
+kill.  A control run of every killing test on an unmutated copy goes
+first and must pass, so a broken suite cannot pass for a kill.
 
 Standard library only: no mutation framework is a dependency.  It takes
 no arguments and runs every mutant in :data:`MUTANTS`; run it from
@@ -40,6 +41,8 @@ KERNEL = "src/repro/fastpath/npkernels.py"
 ENTRY = "src/repro/fastpath/batchverify.py"
 PARITY = "tests/test_npkernels.py::TestVerifierParity"
 DECLINED = "tests/test_npkernels.py::TestDeclinedBlocks"
+LINT = "src/repro/lint/analyzer.py"
+LAYERING = "tests/test_lint.py::TestLayeringMatrix"
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,27 @@ MUTANTS = (
         "team=max(header.team_size, agents_used, 1),",
         "team=max(header.team_size, 1),",
         (f"{PARITY}::test_whole_schedule_team_too_small",),
+    ),
+    Mutant(
+        "layering-relative-level",
+        LINT,
+        "elif isinstance(node, ast.ImportFrom) and node.level >= 2:",
+        "elif isinstance(node, ast.ImportFrom) and node.level >= 1:",
+        (LAYERING,),
+    ),
+    Mutant(
+        "layering-prefix-boundary",
+        LINT,
+        'name == f"repro.{p}" or name.startswith(f"repro.{p}.") for p in layer.forbidden',
+        'name == f"repro.{p}" or name.startswith(f"repro.{p}") for p in layer.forbidden',
+        (LAYERING,),
+    ),
+    Mutant(
+        "layering-prom-uncovered",
+        LINT,
+        '"RPR230", "obs", ("trace", "runlog", "prom"),',
+        '"RPR230", "obs", ("trace", "runlog"),',
+        (LAYERING,),
     ),
 )
 

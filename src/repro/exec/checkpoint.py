@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Sequence, Union
 
+from repro._publish import publish_text
 from repro.errors import CheckpointError
 from repro.exec.jobs import Job, JobOutcome, JobStatus
 from repro.obs.stream import read_jsonl_records
@@ -146,20 +145,7 @@ class Checkpoint:
         # between truncating the old run and finishing the new header.
         # Appends after that point are torn-tail tolerant (see load()).
         try:
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent
-            )
-            try:
-                with os.fdopen(fd, "w") as staging:
-                    for record in records:
-                        staging.write(json.dumps(record, sort_keys=True) + "\n")
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            publish_text(self.path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
             self._fh = self.path.open("a")
         except OSError as exc:
             raise CheckpointError(f"cannot write checkpoint {self.path}: {exc}") from exc

@@ -19,11 +19,10 @@ a full table.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro._publish import publish_text
 from repro.analysis.experiments import ExperimentResult, experiment_ids, experiment_title
 from repro.analysis.sweeps import Sweep, SweepRow
 from repro.exec.jobs import Job, JobOutcome
@@ -365,17 +364,7 @@ def write_merged_manifest(
     payload = json.dumps(merged_manifest(outcomes, extra=extra), indent=2, sort_keys=True) + "\n"
     # Publish atomically: a concurrent reader (or a crash mid-write) sees
     # either the previous manifest or this one, never a truncated file.
-    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
-    try:
-        with os.fdopen(fd, "w") as staging:
-            staging.write(payload)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    publish_text(target, payload)
     return target
 
 

@@ -432,6 +432,10 @@ def replay_order(compiled: ScheduleChunk) -> List[int]:
 # --------------------------------------------------------------------- #
 
 
+#: per-move ``(move times, guard masks, clean masks, destination bits)``
+_Snapshots = Tuple[List[int], List[int], List[int], List[int]]
+
+
 def _saturate(frontier: int, allowed: int, topo: Hypercube) -> int:
     """Bitset BFS closure of ``frontier`` inside ``allowed``."""
     reached = frontier
@@ -507,23 +511,31 @@ class ScenarioTimeline:
         self.final_guard = self.guard_after[-1] if self.guard_after else 1 << homebase
 
         self._inert_cache: Dict[int, int] = {}
-        self._walker: Optional[Tuple[List[int], List[int], List[int], List[int]]] = None
+        self._walker: Optional[_Snapshots] = None
         self._layer_cache: Dict[int, List[int]] = {}
         if stats is not None:
             stats.count("timelines_built")
 
     # -- columnar replay ------------------------------------------------ #
 
-    def _replay(self) -> None:
+    def _replay(self, order: Optional[List[int]] = None) -> _Snapshots:
+        """Replay the columns unit by unit with the engine's semantics.
+
+        In column order (``order`` is ``None``) it records the per-unit
+        masks and sets :attr:`recontaminated`.  Given ``order``, the
+        engine's completion order (a permutation within each unit, see
+        :func:`replay_order`), it instead returns the per-move snapshots
+        of :meth:`walker_support`.
+        """
         topo = self.topo
-        n = topo.n
         home = self.home
         srcs, dsts, times = self._srcs, self._dsts, self._times
         total = len(times)
+        cols: Sequence[int] = range(total) if order is None else order
         uses_cloning = self.compiled.header.uses_cloning
         team = max(self.compiled.header.team_size, self.compiled.stats_so_far.agents_used, 1)
 
-        guard_count = [0] * n
+        guard_count = [0] * topo.n
         guard_count[home] = 1 if uses_cloning else team
         gmask = 1 << home
         clean = 1 << home
@@ -532,18 +544,10 @@ class ScenarioTimeline:
         if uses_cloning and total:
             # the root agent is the homebase deployment, not a clone
             seen_agent[min(agents)] = True
-
-        def flood_from(v: int) -> int:
-            # departure-rule violation: v and everything clean+unguarded
-            # reachable from it is recontaminated (engine semantics)
-            nonlocal clean
-            self.recontaminated = True
-            wave = 1 << v
-            clean &= ~wave
-            while wave:
-                wave = topo.spread_mask(wave) & clean & ~gmask
-                clean &= ~wave
-            return clean
+        move_times: List[int] = []
+        guard_masks: List[int] = []
+        clean_masks: List[int] = []
+        dst_bits: List[int] = []
 
         i = 0
         while i < total:
@@ -565,7 +569,7 @@ class ScenarioTimeline:
                         clean |= 1 << src
                         arrivals |= 1 << src
                         seen_agent[agents[k]] = True
-            for k in range(i, j):
+            for k in cols[i:j]:
                 src, dst = srcs[k], dsts[k]
                 # arrival first: the engine's move is atomic, so the
                 # departure rule already sees the destination clean
@@ -581,15 +585,30 @@ class ScenarioTimeline:
                     # set both bits, and the flood never clears a guarded
                     # node), so the vacated src needs no clean test
                     if topo.neighbor_mask(src) & self.full & ~clean:
-                        flood_from(src)
-            self.unit_times.append(unit_time)
-            self.guard_after.append(gmask)
-            self.clean_after.append(clean)
-            self.arrivals.append(arrivals)
-            self.cum_moves.append(j)
-            if self.complete_index < 0 and clean == self.full:
-                self.complete_index = len(self.unit_times) - 1
+                        # src and everything clean+unguarded reachable
+                        # from it is recontaminated (engine semantics)
+                        if order is None:
+                            self.recontaminated = True
+                        wave = 1 << src
+                        clean &= ~wave
+                        while wave:
+                            wave = topo.spread_mask(wave) & clean & ~gmask
+                            clean &= ~wave
+                if order is not None:
+                    move_times.append(unit_time)
+                    guard_masks.append(gmask)
+                    clean_masks.append(clean)
+                    dst_bits.append(1 << dst)
+            if order is None:
+                self.unit_times.append(unit_time)
+                self.guard_after.append(gmask)
+                self.clean_after.append(clean)
+                self.arrivals.append(arrivals)
+                self.cum_moves.append(j)
+                if self.complete_index < 0 and clean == self.full:
+                    self.complete_index = len(self.unit_times) - 1
             i = j
+        return move_times, guard_masks, clean_masks, dst_bits
 
     # -- reachable policy ----------------------------------------------- #
 
@@ -644,7 +663,7 @@ class ScenarioTimeline:
 
     # -- walker policies ------------------------------------------------ #
 
-    def walker_support(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+    def walker_support(self) -> _Snapshots:
         """Per-move snapshots in engine replay order (lazy, shared).
 
         Returns ``(move_times, guard_masks, clean_masks, capture_bits)``
@@ -653,41 +672,8 @@ class ScenarioTimeline:
         the single-bit mask of the move's destination.  The walker
         policies observe after every entry, exactly like the engine.
         """
-        if self._walker is not None:
-            return self._walker
-        order = replay_order(self.compiled)
-        topo = self.topo
-        n = topo.n
-        team = max(self.compiled.header.team_size, self.compiled.stats_so_far.agents_used, 1)
-        guard_count = [0] * n
-        guard_count[self.home] = team
-        gmask = 1 << self.home
-        clean = 1 << self.home
-        move_times: List[int] = []
-        guard_masks: List[int] = []
-        clean_masks: List[int] = []
-        dst_bits: List[int] = []
-        full = self.full
-        for col in order:
-            src, dst = self._srcs[col], self._dsts[col]
-            guard_count[dst] += 1
-            gmask |= 1 << dst
-            clean |= 1 << dst
-            guard_count[src] -= 1
-            if guard_count[src] == 0:
-                gmask &= ~(1 << src)
-                if topo.neighbor_mask(src) & full & ~clean:
-                    # the departure rule and flood of _replay
-                    wave = 1 << src
-                    clean &= ~wave
-                    while wave:
-                        wave = topo.spread_mask(wave) & clean & ~gmask
-                        clean &= ~wave
-            move_times.append(self._times[col])
-            guard_masks.append(gmask)
-            clean_masks.append(clean)
-            dst_bits.append(1 << dst)
-        self._walker = (move_times, guard_masks, clean_masks, dst_bits)
+        if self._walker is None:
+            self._walker = self._replay(replay_order(self.compiled))
         return self._walker
 
     def guard_layers(self, move_index: int) -> List[int]:

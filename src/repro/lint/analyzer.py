@@ -546,254 +546,94 @@ def _check_yields(mod: _Module) -> List[Finding]:
     return findings
 
 
-#: Package prefixes the observability layer must never import (the engine
-#: imports ``repro.obs``; the reverse direction would be a cycle).
-_OBS_FORBIDDEN_PREFIXES: Tuple[str, ...] = ("repro.sim", "repro.protocols")
+@dataclass(frozen=True)
+class _Layer:
+    """One row of :data:`_LAYERS`: the rule ``code`` covers the files in a
+    ``package`` directory (only those with one of ``stems``, if given);
+    they must not import the ``forbidden`` subpackages of ``repro``, and
+    ``message`` names the offending import as ``{imported}``."""
+
+    code: str
+    package: str
+    stems: Tuple[str, ...]
+    forbidden: Tuple[str, ...]
+    message: str
 
 
-def _is_obs_module(path: str) -> bool:
-    """Whether ``path`` lies inside an ``obs`` package directory."""
-    parts = Path(path).parts
-    return "obs" in parts
-
-
-def _check_obs_layering(mod: _Module) -> List[Finding]:
-    """RPR200: ``repro.obs`` modules must not import the simulation layer.
-
-    Applies only to files inside an ``obs`` package; both absolute imports
-    (``import repro.sim.x`` / ``from repro.sim import y``) and relative
-    imports that escape the package (``from ..sim import y``) are flagged.
-    """
-    if not _is_obs_module(mod.path):
-        return []
-    findings: List[Finding] = []
-
-    def _forbidden(name: str) -> bool:
-        return any(
-            name == p or name.startswith(p + ".") for p in _OBS_FORBIDDEN_PREFIXES
-        )
-
-    def _flag(node: ast.AST, imported: str) -> None:
-        findings.append(
-            mod.finding(
-                "RPR200",
-                node,
-                f"`repro.obs` imports `{imported}`: the engine imports the "
-                "observability layer, so this is an import cycle — pass "
-                "state through event payloads instead",
-            )
-        )
-
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if _forbidden(alias.name):
-                    _flag(node, alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and _forbidden(module):
-                _flag(node, module)
-            elif node.level >= 2:  # `from ..sim import x` escapes repro/obs/
-                target = module.split(".", 1)[0]
-                if target in {"sim", "protocols"}:
-                    _flag(node, f"{'.' * node.level}{module}")
-    return findings
-
-
-#: Package prefixes the executor layer must never import (the CLI imports
-#: ``repro.exec``; the reverse direction would be a cycle — and workers
-#: must stay renderer-free so their results remain JSON-able data).
-_EXEC_FORBIDDEN_PREFIXES: Tuple[str, ...] = ("repro.cli", "repro.viz")
-
-
-def _is_exec_module(path: str) -> bool:
-    """Whether ``path`` lies inside an ``exec`` package directory."""
-    return "exec" in Path(path).parts
-
-
-def _check_exec_layering(mod: _Module) -> List[Finding]:
-    """RPR210: ``repro.exec`` modules must not import the CLI/viz layers.
-
-    Applies only to files inside an ``exec`` package; flags absolute
-    imports and relative imports that escape the package (``from ..cli
-    import main``, ``from ..viz import x``).
-    """
-    if not _is_exec_module(mod.path):
-        return []
-    findings: List[Finding] = []
-
-    def _forbidden(name: str) -> bool:
-        return any(
-            name == p or name.startswith(p + ".") for p in _EXEC_FORBIDDEN_PREFIXES
-        )
-
-    def _flag(node: ast.AST, imported: str) -> None:
-        findings.append(
-            mod.finding(
-                "RPR210",
-                node,
-                f"`repro.exec` imports `{imported}`: the CLI imports the "
-                "executor, so this is an import cycle — return JSON-able "
-                "values from tasks and let the frontend render them",
-            )
-        )
-
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if _forbidden(alias.name):
-                    _flag(node, alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and _forbidden(module):
-                _flag(node, module)
-            elif node.level >= 2:  # `from ..cli import x` escapes repro/exec/
-                target = module.split(".", 1)[0]
-                if target in {"cli", "viz"}:
-                    _flag(node, f"{'.' * node.level}{module}")
-    return findings
-
-
-#: Package prefixes the fast path must never import (analysis/exec/CLI all
-#: consume ``repro.fastpath``; the sim/protocol planes are heavyweight and
-#: the compiled form must stay loadable without them).
-_FASTPATH_FORBIDDEN_PREFIXES: Tuple[str, ...] = (
-    "repro.sim",
-    "repro.protocols",
-    "repro.analysis",
-    "repro.exec",
-    "repro.cli",
-    "repro.viz",
-    "repro.obs",
-)
-
-_FASTPATH_FORBIDDEN_TOPS: FrozenSet[str] = frozenset(
-    p.split(".", 1)[1] for p in _FASTPATH_FORBIDDEN_PREFIXES
+#: The package layering, one row per rule.  Each arrow runs against an
+#: import the other way: the engine imports ``repro.obs``, the CLI
+#: imports ``repro.exec``, the analysis/exec/CLI planes consume
+#: ``repro.fastpath``, and every runtime layer reports into the tracing
+#: plane through injected handles (``bind_tracer``,
+#: ``set_active_tracer``).  A trace module is also an ``obs`` module, so
+#: it answers to both RPR200 and RPR230.
+_LAYERS: Tuple[_Layer, ...] = (
+    _Layer(
+        "RPR200", "obs", (), ("sim", "protocols"),
+        "`repro.obs` imports `{imported}`: the engine imports the "
+        "observability layer, so this is an import cycle — pass "
+        "state through event payloads instead",
+    ),
+    _Layer(
+        "RPR210", "exec", (), ("cli", "viz"),
+        "`repro.exec` imports `{imported}`: the CLI imports the "
+        "executor, so this is an import cycle — return JSON-able "
+        "values from tasks and let the frontend render them",
+    ),
+    _Layer(
+        "RPR220", "fastpath", (),
+        ("sim", "protocols", "analysis", "exec", "cli", "viz", "obs"),
+        "`repro.fastpath` imports `{imported}`: the fast path sits "
+        "below the analysis/exec/CLI planes and must stay importable "
+        "without them — only `repro.core`, `repro.topology` and "
+        "`repro.errors` are allowed",
+    ),
+    _Layer(
+        "RPR230", "obs", ("trace", "runlog", "prom"),
+        ("sim", "protocols", "exec", "fastpath", "analysis", "cli", "viz"),
+        "tracing module imports `{imported}`: every runtime layer "
+        "reports into tracing through injected handles "
+        "(`bind_tracer`, `set_active_tracer`), so this is an "
+        "import cycle — keep trace/runlog/prom layering-terminal",
+    ),
 )
 
 
-def _is_fastpath_module(path: str) -> bool:
-    """Whether ``path`` lies inside a ``fastpath`` package directory."""
-    return "fastpath" in Path(path).parts
+def _check_layering(mod: _Module) -> List[Finding]:
+    """RPR200–RPR230: every row of :data:`_LAYERS` that covers the file.
 
-
-def _check_fastpath_layering(mod: _Module) -> List[Finding]:
-    """RPR220: ``repro.fastpath`` imports only core/topology/errors.
-
-    Applies only to files inside a ``fastpath`` package; flags absolute
-    imports of any consumer or simulation layer and relative imports
-    that escape the package toward one (``from ..analysis import x``).
+    Flags absolute imports of a forbidden package or of its submodules
+    (``import repro.sim.x``, ``from repro.sim import y``, but not
+    ``repro.simx``) and relative imports that climb out of the covered
+    package toward one (``from ..sim import y``).  ``from .sim import y``
+    stays inside the package, and ``from .. import sim`` is not resolved.
     """
-    if not _is_fastpath_module(mod.path):
+    path = Path(mod.path)
+    layers = [
+        layer
+        for layer in _LAYERS
+        if layer.package in path.parts and (not layer.stems or path.stem in layer.stems)
+    ]
+    if not layers:
         return []
     findings: List[Finding] = []
-
-    def _forbidden(name: str) -> bool:
-        return any(
-            name == p or name.startswith(p + ".")
-            for p in _FASTPATH_FORBIDDEN_PREFIXES
-        )
-
-    def _flag(node: ast.AST, imported: str) -> None:
-        findings.append(
-            mod.finding(
-                "RPR220",
-                node,
-                f"`repro.fastpath` imports `{imported}`: the fast path sits "
-                "below the analysis/exec/CLI planes and must stay importable "
-                "without them — only `repro.core`, `repro.topology` and "
-                "`repro.errors` are allowed",
-            )
-        )
-
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                if _forbidden(alias.name):
-                    _flag(node, alias.name)
-        elif isinstance(node, ast.ImportFrom):
+            imports = [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imports = [(node.module or "", node.module or "")]
+        elif isinstance(node, ast.ImportFrom) and node.level >= 2:
             module = node.module or ""
-            if node.level == 0 and _forbidden(module):
-                _flag(node, module)
-            elif node.level >= 2:  # `from ..sim import x` escapes repro/fastpath/
-                target = module.split(".", 1)[0]
-                if target in _FASTPATH_FORBIDDEN_TOPS:
-                    _flag(node, f"{'.' * node.level}{module}")
-    return findings
-
-
-#: Package prefixes the tracing plane must never import (every runtime
-#: layer reports *into* tracing via injected handles — `bind_tracer`,
-#: `set_active_tracer` — so importing one back would be a cycle and
-#: would drag heavyweight planes into every RunLog reader).
-_TRACE_FORBIDDEN_PREFIXES: Tuple[str, ...] = (
-    "repro.sim",
-    "repro.protocols",
-    "repro.exec",
-    "repro.fastpath",
-    "repro.analysis",
-    "repro.cli",
-    "repro.viz",
-)
-
-_TRACE_FORBIDDEN_TOPS: FrozenSet[str] = frozenset(
-    p.split(".", 1)[1] for p in _TRACE_FORBIDDEN_PREFIXES
-)
-
-#: Module stems inside ``obs`` that form the tracing/trajectory plane.
-_TRACE_STEMS: FrozenSet[str] = frozenset({"trace", "runlog", "prom"})
-
-
-def _is_trace_module(path: str) -> bool:
-    """Whether ``path`` is a tracing-plane module (``obs/{trace,runlog,prom}``)."""
-    p = Path(path)
-    return "obs" in p.parts and p.stem in _TRACE_STEMS
-
-
-def _check_trace_layering(mod: _Module) -> List[Finding]:
-    """RPR230: tracing modules must not import runtime/frontend layers.
-
-    Applies only to the tracing-plane modules inside an ``obs`` package
-    (``trace``, ``runlog``, ``prom``); flags absolute imports of any
-    instrumented or frontend layer and relative imports that escape the
-    package toward one (``from ..exec import x``).  Stricter than RPR200
-    because these modules are also *read-side* tools (``repro-search
-    trace`` parses RunLogs) and must stay loadable standalone.
-    """
-    if not _is_trace_module(mod.path):
-        return []
-    findings: List[Finding] = []
-
-    def _forbidden(name: str) -> bool:
-        return any(
-            name == p or name.startswith(p + ".") for p in _TRACE_FORBIDDEN_PREFIXES
-        )
-
-    def _flag(node: ast.AST, imported: str) -> None:
-        findings.append(
-            mod.finding(
-                "RPR230",
-                node,
-                f"tracing module imports `{imported}`: every runtime layer "
-                "reports into tracing through injected handles "
-                "(`bind_tracer`, `set_active_tracer`), so this is an "
-                "import cycle — keep trace/runlog/prom layering-terminal",
-            )
-        )
-
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if _forbidden(alias.name):
-                    _flag(node, alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and _forbidden(module):
-                _flag(node, module)
-            elif node.level >= 2:  # `from ..exec import x` escapes repro/obs/
-                target = module.split(".", 1)[0]
-                if target in _TRACE_FORBIDDEN_TOPS:
-                    _flag(node, f"{'.' * node.level}{module}")
+            imports = [(f"repro.{module}", "." * node.level + module)]
+        else:
+            continue
+        for name, imported in imports:
+            for layer in layers:
+                if any(
+                    name == f"repro.{p}" or name.startswith(f"repro.{p}.") for p in layer.forbidden
+                ):
+                    message = layer.message.format(imported=imported)
+                    findings.append(mod.finding(layer.code, node, message))
     return findings
 
 
@@ -996,10 +836,7 @@ def _per_file_findings(mod: _Module) -> List[Finding]:
         + _check_yields(mod)
         + _check_memory(mod)
         + _check_cache_params(mod)
-        + _check_obs_layering(mod)
-        + _check_exec_layering(mod)
-        + _check_fastpath_layering(mod)
-        + _check_trace_layering(mod)
+        + _check_layering(mod)
         + check_concurrency(mod.tree, mod.path)
     )
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
+from repro._publish import publish_text
 from repro.lint.rules import Finding
 
 __all__ = [
@@ -96,17 +95,7 @@ def write_baseline(findings: Sequence[Finding], path: Path) -> Path:
         + "\n"
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".lint-baseline.", suffix=".tmp", dir=path.parent or ".")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    publish_text(path, payload)
     return path
 
 

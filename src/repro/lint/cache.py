@@ -1,9 +1,9 @@
 """The incremental lint cache: content-addressed, like the schedule cache.
 
 Two granularities, same idiom as :class:`~repro.fastpath.cache.ScheduleCache`
-(the key *is* the file name; writes publish via ``mkstemp`` +
-``os.replace``, so a shared cache directory — CI restores it between
-runs — is safe under concurrent linters):
+(the key *is* the file name; writes publish via
+:func:`repro._publish.publish_text`, so a shared cache directory — CI
+restores it between runs — is safe under concurrent linters):
 
 * **file entries** — the per-file findings and suppression table of one
   module, keyed by the SHA-256 of its bytes plus the analyzer
@@ -26,10 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro._publish import publish_text
 from repro.lint.rules import RULES, Finding
 from repro.lint.suppressions import SuppressionTable
 
@@ -99,20 +99,9 @@ class LintCache:
         return data if isinstance(data, dict) else None
 
     def _store(self, key: str, kind: str, payload: Dict[str, Any]) -> None:
-        path = self._path_for(key, kind)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=f".{key[:16]}.", suffix=".tmp", dir=self.root)
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, separators=(",", ":"))
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            publish_text(self._path_for(key, kind), json.dumps(payload, separators=(",", ":")))
         except OSError:
             pass  # a cache that cannot write is a cache that only misses
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._publish import publish_text
 from repro.lint.rules import Finding
 
 __all__ = [
@@ -220,15 +219,5 @@ def write_schema_baseline(
         }
     payload = json.dumps({"version": BASELINE_VERSION, "schemas": schemas}, indent=2) + "\n"
     baseline_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".schema_baseline.", suffix=".tmp", dir=baseline_path.parent)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, baseline_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    publish_text(baseline_path, payload)
     return baseline_path

@@ -20,9 +20,9 @@ Schema ``repro-trace/v1``.  Every record is one JSON object with a
 
 The stream itself is append-only (durable against crashes up to a torn
 tail, read back with :func:`repro.obs.stream.read_jsonl_records`); the
-per-directory ``index.json`` is rewritten through the atomic
-``mkstemp`` + ``os.replace`` idiom so readers never observe a partial
-index.
+per-directory ``index.json`` is rewritten through
+:func:`repro._publish.publish_text` (a sibling tmp file and one
+``os.replace``) so readers never observe a partial index.
 
 Like :mod:`repro.obs.trace`, this module is layering-terminal: it must not
 import the simulation, executor, fastpath or frontend layers (lint rule
@@ -32,11 +32,10 @@ import the simulation, executor, fastpath or frontend layers (lint rule
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro._publish import publish_text
 from repro.obs.stream import JsonlStreamer, read_jsonl_records
 
 __all__ = ["TRACE_SCHEMA", "RunLog", "RunLogWriter", "RunLogData", "read_runlog"]
@@ -238,18 +237,7 @@ class RunLog:
         runs.append(entry)
         payload = {"schema": TRACE_SCHEMA, "runs": runs}
         self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{_INDEX_NAME}.", suffix=".tmp", dir=self.root)
-        try:
-            with os.fdopen(fd, "w") as staging:
-                json.dump(payload, staging, indent=2, sort_keys=True)
-                staging.write("\n")
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        publish_text(self.index_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def __repr__(self) -> str:
         return f"RunLog(root={str(self.root)!r}, runs={len(self.runs())})"

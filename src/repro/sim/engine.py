@@ -650,16 +650,7 @@ class Engine:
                 self._join(record, action.predicate, reads)
                 if action.wake_at is not None and action.wake_at > self._time:
                     self._schedule(record, action.wake_at)
-                self._trace.log(
-                    TraceEvent(
-                        self._time, "wait", agent_id, node,
-                        {"why": action.description},
-                    )
-                )
-                if self._subscribers:
-                    self._bus.publish(
-                        WaitEvent(self._time, agent_id, node, why=action.description)
-                    )
+                self._log_wait(record)
                 return
 
             # local actions: execute now or after the model's local delay
@@ -805,6 +796,13 @@ class Engine:
 
         raise AgentError(f"agent {agent_id} yielded unknown action {action!r}")
 
+    def _log_wait(self, record: _AgentRecord) -> None:
+        """Log and publish that a filed agent waits on its ``WaitUntil``."""
+        agent_id, node, why = record.ctx.agent_id, record.ctx.node, record.wait.description
+        self._trace.log(TraceEvent(self._time, "wait", agent_id, node, {"why": why}))
+        if self._subscribers:
+            self._bus.publish(WaitEvent(self._time, agent_id, node, why=why))
+
     def _wake_up(self, record: _AgentRecord) -> bool:
         """Run the event of a blocked agent — its wake-up, or a ``wake_at``
         timer that fired while it was still filed — and say whether the
@@ -813,7 +811,10 @@ class Engine:
         The agent re-checks its own predicate under mutual exclusion: if it
         holds the agent resumes, and if not (another agent got there first,
         or the timer fired before the predicate turned true) it joins its
-        node's group for that predicate again.
+        node's group for that predicate again.  A woken agent that re-files
+        logs a new ``wait``, so its ``wait`` and ``wake`` records
+        alternate; an agent whose timer fired was never woken, and logs
+        nothing.
         """
         group = record.group
         if group is not None:  # a timer: leave the group
@@ -825,6 +826,8 @@ class Engine:
         holds, reads = self._evaluate(record.ctx.node, predicate)
         if not holds:
             self._join(record, predicate, reads)
+            if group is None:
+                self._log_wait(record)
             return False
         record.wait = None
         record.status = "ready"

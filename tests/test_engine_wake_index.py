@@ -73,8 +73,8 @@ class PollingEngine(Engine):
     through a fresh view, and wakes — logs, publishes, reschedules — each
     agent whose predicate holds and that has no live wake, in agent id
     order.  A wake is live from this pass until the agent's wake-up runs;
-    there the agent re-checks its predicate through a fresh view and
-    stays blocked if it is false.
+    there the agent re-checks its predicate through a fresh view and, if
+    it is false, stays blocked and logs a new ``wait``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -95,8 +95,11 @@ class PollingEngine(Engine):
         pass  # no wake index: every blocked agent is scanned
 
     def _wake_up(self, record) -> bool:
+        woken = record.ctx.agent_id in self._live
         self._live.discard(record.ctx.agent_id)
         if not record.wait.predicate(self._polling_view(record)):
+            if woken:  # not a wake_at timer
+                self._log_wait(record)
             return False
         record.wait = None
         record.status = "ready"
@@ -139,6 +142,23 @@ _DELAYS = {
 _INTRUDERS = ("reachable", "walker")
 
 
+def run_protocol(
+    protocol: str, dimension: int, delay: str, intruder: str, engine=Engine, subscribers=()
+):
+    """One run of the matrix on the engine class ``engine``."""
+    if protocol == "frontier":
+        tapped = functools.partial(engine, subscribers=list(subscribers))
+        with mock.patch.object(frontier_protocol, "Engine", tapped):
+            return frontier_protocol.run_frontier_protocol(
+                Hypercube(dimension), delay=_DELAYS[delay](), intruder=intruder
+            )
+    module, runner, _ = _RUNNERS[protocol]
+    with mock.patch.object(module, "Engine", engine):
+        return getattr(module, runner)(
+            dimension, delay=_DELAYS[delay](), intruder=intruder, subscribers=list(subscribers)
+        )
+
+
 def run_digest(protocol: str, dimension: int, delay: str, intruder: str, engine=Engine) -> str:
     """sha256 over everything a run lets a caller observe: every trace
     event, the bus stream, ``event_count``, the verdict line, peak bits,
@@ -149,18 +169,7 @@ def run_digest(protocol: str, dimension: int, delay: str, intruder: str, engine=
     probes = standard_probes("lenient")
     stream: List[Any] = []
     subscribers = [collector, *probes, stream.append]
-    if protocol == "frontier":
-        tapped = functools.partial(engine, subscribers=subscribers)
-        with mock.patch.object(frontier_protocol, "Engine", tapped):
-            result = frontier_protocol.run_frontier_protocol(
-                Hypercube(dimension), delay=_DELAYS[delay](), intruder=intruder
-            )
-    else:
-        module, runner, _ = _RUNNERS[protocol]
-        with mock.patch.object(module, "Engine", engine):
-            result = getattr(module, runner)(
-                dimension, delay=_DELAYS[delay](), intruder=intruder, subscribers=subscribers
-            )
+    result = run_protocol(protocol, dimension, delay, intruder, engine, subscribers)
     h = hashlib.sha256()
     for event in result.trace:
         h.update(repr(event).encode())
@@ -185,32 +194,89 @@ def run_digest(protocol: str, dimension: int, delay: str, intruder: str, engine=
     return h.hexdigest()
 
 
-def matrix_digest(protocol: str, engine=Engine) -> str:
-    """One digest over the protocol's whole matrix: d = 1.. its maximum
-    (H_2..H_5 for the frontier protocol), every delay regime, both
-    intruders."""
+def matrix_runs(protocol: str):
+    """``(dimension, delay, intruder)`` of every run of the protocol's
+    matrix: d = 1.. its maximum (H_2..H_5 for the frontier protocol),
+    every delay regime, both intruders."""
     dims = range(2, 6) if protocol == "frontier" else range(1, _RUNNERS[protocol][2] + 1)
-    h = hashlib.sha256()
     for d in dims:
         for delay in _DELAYS:
             for intruder in _INTRUDERS:
-                h.update(run_digest(protocol, d, delay, intruder, engine).encode())
+                yield d, delay, intruder
+
+
+def matrix_digest(protocol: str, engine=Engine) -> str:
+    """One digest over the protocol's whole matrix."""
+    h = hashlib.sha256()
+    for run in matrix_runs(protocol):
+        h.update(run_digest(protocol, *run, engine).encode())
     return h.hexdigest()[:16]
 
 
 #: computed with ``matrix_digest(protocol, PollingEngine)``, the full scan
 GOLDEN = {
-    "clean": "ce9ddca45813e877",
+    "clean": "d2cff35e35c28e58",
     "visibility": "b57947ef4fc0321c",
     "cloning": "5edc9f6dbe249d5b",
     "synchronous": "7c963ecf7351fdce",
-    "frontier": "3a58fb71afd7fe55",
+    "frontier": "a228ee5c77eb309b",
 }
 
 
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
 def test_golden_digests_match_full_scan(protocol):
     assert matrix_digest(protocol) == GOLDEN[protocol]
+
+
+#: protocols whose waits carry ``wake_at`` timers; a timer that finds its
+#: agent's predicate true resumes the agent without a ``wake`` record
+_TIMED = {"synchronous"}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+def test_wait_and_wake_records_alternate(protocol):
+    """In every run of the matrix each agent's ``wait`` and ``wake``
+    records alternate, a ``wait`` first: a woken agent that loses the
+    race for what it waited on logs its new wait.  Only a round timer of
+    the synchronous protocol ends a wait unrecorded, so there a ``wait``
+    may follow a ``wait``; a ``wake`` never follows a ``wake``."""
+    for run in matrix_runs(protocol):
+        last: Dict[int, str] = {}
+        for event in run_protocol(protocol, *run).trace:
+            if event.kind in ("wait", "wake"):
+                if last.get(event.agent, "wake") == event.kind:
+                    assert event.kind == "wait" and protocol in _TIMED, (run, event)
+                last[event.agent] = event.kind
+
+
+def test_collector_blocked_count_follows_the_wait_groups():
+    """After every event but a ``wake`` the collector's ``agents_blocked``
+    gauge counts exactly the agents filed in wait groups.  CLEAN's idle
+    followers race for each dispatch order, and the losers are blocked
+    again (a woken agent is unfiled before its ``wake`` is published, so
+    ``wake`` events are skipped)."""
+    engines: List[Engine] = []
+    collector = SimMetricsCollector()
+    differ: List[Any] = []
+
+    def tapped(*args, **kwargs):
+        engines.append(Engine(*args, **kwargs))
+        return engines[-1]
+
+    def compare(event) -> None:
+        if event.kind == "wake":
+            return
+        filed = sum(len(group.members) for group in engines[0]._groups.values())
+        shown = collector.registry.gauge("agents_blocked").value
+        if filed != shown:
+            differ.append((event.time, event.kind, filed, shown))
+
+    with mock.patch.object(clean_protocol, "Engine", tapped):
+        result = clean_protocol.run_clean_protocol(
+            7, delay=UnitDelay(), subscribers=[collector, compare]
+        )
+    assert result.all_clean
+    assert differ == []
 
 
 @pytest.mark.parametrize(
@@ -611,7 +677,7 @@ def test_groups_that_hold_together_wake_in_agent_id_order():
 
 def test_woken_agent_that_loses_the_race_refiles():
     """Two waiters share one predicate object; one slot wakes both, the
-    first takes it, and the second's re-check fails: it re-files, logs no
+    first takes it, and the second's re-check fails: it re-files, logs a
     second wait, and the next slot wakes it once more."""
     calls: List[float] = []
     has_slot = _counted(lambda view: (view.wb("slots") or 0) >= 1, calls, lambda: engine.time)
@@ -634,7 +700,7 @@ def test_woken_agent_that_loses_the_race_refiles():
     kinds = {a: [e.kind for e in result.trace if e.agent == a] for a in (0, 1)}
     assert kinds == {
         0: ["wait", "wake", "terminate"],
-        1: ["wait", "wake", "wake", "terminate"],
+        1: ["wait", "wake", "wait", "wake", "terminate"],
     }
     # two waits, one group evaluation, two re-checks (the second fails);
     # then one evaluation of agent 1's new group and its re-check

@@ -424,3 +424,76 @@ class TestTraceLayering:
 
         for stem in ("trace", "runlog", "prom"):
             assert analyze_path(obs_dir() / f"{stem}.py") == []
+
+
+#: the layering as docs/LINTING.md states it: covered file -> {code: the
+#: ``repro`` packages the file must not import}
+_TRACE_RULES = {
+    "RPR200": {"sim", "protocols"},
+    "RPR230": {"sim", "protocols", "exec", "fastpath", "analysis", "cli", "viz"},
+}
+LAYERING = {
+    "src/repro/obs/x.py": {"RPR200": {"sim", "protocols"}},
+    "src/repro/obs/trace.py": _TRACE_RULES,
+    "src/repro/obs/runlog.py": _TRACE_RULES,
+    "src/repro/obs/prom.py": _TRACE_RULES,
+    "src/repro/exec/x.py": {"RPR210": {"cli", "viz"}},
+    "src/repro/fastpath/x.py": {
+        "RPR220": {"sim", "protocols", "analysis", "exec", "cli", "viz", "obs"}
+    },
+    "src/repro/analysis/x.py": {},
+}
+
+#: import form -> whether it reaches the named ``repro`` package: a
+#: single dot stays inside the covered package, and ``from .. import P``
+#: names no module the analyzer resolves
+IMPORT_FORMS = {
+    "import repro.{}": True,
+    "from repro.{} import y": True,
+    "from ..{} import y": True,
+    "from ...{} import y": True,
+    "from .{} import y": False,
+    "from .. import {}": False,
+}
+
+
+def _repro_packages():
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    return sorted(
+        p.stem
+        for p in root.iterdir()
+        if not p.name.startswith("_") and (p.suffix == ".py" or (p / "__init__.py").is_file())
+    )
+
+
+class TestLayeringMatrix:
+    """RPR200–RPR230 on every covered path, import form and target: each
+    ``repro`` package, a submodule of it, and the look-alike
+    ``repro.simx``, which is not ``repro.sim``."""
+
+    def test_targets_cover_every_layered_package(self):
+        forbidden = {p for rules in LAYERING.values() for ps in rules.values() for p in ps}
+        assert forbidden <= set(_repro_packages())
+
+    @pytest.mark.parametrize("path", sorted(LAYERING))
+    def test_exact_codes(self, path):
+        targets = [*_repro_packages(), "simx"]
+        targets += [f"{t}.sub" for t in targets]
+        wrong = []
+        for form, reaches in IMPORT_FORMS.items():
+            for target in targets:
+                if "." in target and form.endswith("import {}"):
+                    continue  # `from .. import sim.sub` is not Python
+                source = form.format(target) + "\n"
+                package = target.split(".")[0]
+                expected = sorted(
+                    code for code, banned in LAYERING[path].items() if reaches and package in banned
+                )
+                findings = analyze_source(source, path)
+                written = source.split()[1]
+                if [f.code for f in findings] != expected or any(
+                    (f.line, f.column) != (1, 1) or f"`{written}`" not in f.message
+                    for f in findings
+                ):
+                    wrong.append((source, expected, findings))
+        assert wrong == []
