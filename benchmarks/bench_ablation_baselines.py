@@ -5,7 +5,8 @@ Quantifies the design choices DESIGN.md calls out:
 * brute-force optimum on small hypercubes — how close the strategies sit
   to the true minimum (the paper's open lower-bound question);
 * naive level-sweep — what the broadcast-tree reuse choreography saves
-  (~27% of the agents at equal move order);
+  (~27% of the agents at equal move order), with the sweep's exact team
+  and its ``d 2^d`` moves checked up to d=16;
 * tree search (Barriere et al.) — the known-optimal substrate result the
   paper builds on (checked optimal on tree families).
 """
@@ -13,6 +14,7 @@ Quantifies the design choices DESIGN.md calls out:
 from repro.analysis import formulas
 from repro.analysis.verify import ScheduleVerifier, verify_schedule
 from repro.core.strategy import get_strategy
+from repro.fastpath import batch_verify_chunks
 from repro.search.level_sweep import level_sweep_peak_agents
 from repro.search.optimal import optimal_search_number
 from repro.search.tree_search import tree_search_number, tree_strategy_schedule
@@ -51,21 +53,32 @@ def test_ablation_optimality_gap(benchmark, report):
     report("ablation_optimality_gap", "\n".join(lines))
 
 
+#: largest d whose sweep is materialized and checked by the reference
+#: replay verifier; above it the schedule streams through the bit-plane one
+REFERENCE_MAX_D = 9
+
+
 def test_ablation_reuse_choreography(benchmark, report):
-    """CLEAN vs the naive two-full-levels sweep across dimensions."""
+    """CLEAN vs the naive two-full-levels sweep across dimensions, d=2..16."""
+    sweep_strategy = get_strategy("level-sweep")
 
     def measure():
         out = {}
-        for d in range(2, 10):
-            sweep = get_strategy("level-sweep").run(d)
+        for d in range(2, REFERENCE_MAX_D + 1):
+            sweep = sweep_strategy.run(d)
             assert verify_schedule(sweep).ok
             out[d] = (formulas.clean_peak_agents(d), sweep.team_size, sweep.total_moves)
+        for d in range(REFERENCE_MAX_D + 1, 17):
+            verdict = batch_verify_chunks(sweep_strategy.run_chunks(d))
+            assert verdict.ok and verdict.declined == 0
+            out[d] = (formulas.clean_peak_agents(d), verdict.team_size, verdict.total_moves)
         return out
 
     measured = benchmark(measure)
     lines = [f"{'d':>3} {'clean agents':>13} {'sweep agents':>13} {'ratio':>7} {'sweep moves':>12}"]
     for d, (clean_team, sweep_team, sweep_moves) in measured.items():
         assert sweep_team == level_sweep_peak_agents(d)
+        assert sweep_moves == d << d == sweep_strategy.expected_total_moves(d)
         if d >= 3:
             assert sweep_team > clean_team
         lines.append(

@@ -1,10 +1,13 @@
-"""Fast-path and lint mutants that the test suite must keep killing.
+"""Fast-path, producer and lint mutants that the test suite must keep killing.
 
 Each mutant below is a one-line change to the batch verifier (the
-bit-plane kernel or its entry points) or to the linter's import-layering
-check.  The verifier mutants passed every test at some point, and a
-test was added for each one; the layering mutants pin the one check
-that serves RPR200–RPR230.  This script keeps them all killed.  For
+bit-plane kernel or its entry points), to level-sweep's columnar
+producer or to the linter's import-layering check.  The verifier mutants
+passed every test at some point, and a test was added for each one; the
+producer mutants break one of the decisions the producer must share with
+its per-``Move`` reference (the pool order and the two clock floors),
+which the parity tests must catch; the layering mutants pin the one
+check that serves RPR200–RPR230.  This script keeps them all killed.  For
 every mutant it copies ``src/``, ``tests/``, ``conftest.py`` and
 ``pyproject.toml`` to a temporary directory, replaces the one target
 line there (matched exactly, leading whitespace aside, and required to
@@ -21,7 +24,7 @@ anywhere::
 
 Exit status 0 when every mutant is killed, 1 when one survives, its
 target line is missing or not unique, or its tests cannot run.  About
-20 s for the whole list on a 2-CPU machine.
+40 s for the whole list on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ PARITY = "tests/test_npkernels.py::TestVerifierParity"
 DECLINED = "tests/test_npkernels.py::TestDeclinedBlocks"
 LINT = "src/repro/lint/analyzer.py"
 LAYERING = "tests/test_lint.py::TestLayeringMatrix"
+SWEEP = "src/repro/search/level_sweep.py"
+SWEEP_PARITY = (
+    "tests/test_columnar_producers.py::TestProducerParity::"
+    "test_chunks_equal_per_move_reference[65536-level-sweep]"
+)
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,27 @@ MUTANTS = (
         (f"{PARITY}::test_whole_schedule_team_too_small",),
     ),
     Mutant(
+        "level-sweep-pool-order",
+        SWEEP,
+        "order = np.lexsort((pool_id, pool_ready))",
+        "order = np.lexsort((pool_ready, pool_id))",
+        (SWEEP_PARITY,),
+    ),
+    Mutant(
+        "level-sweep-dispatch-floor",
+        SWEEP,
+        "start = np.maximum(ready, clock)",
+        "start = ready",
+        (SWEEP_PARITY,),
+    ),
+    Mutant(
+        "level-sweep-return-floor",
+        SWEEP,
+        "home = np.maximum(arrival, clock)",
+        "home = arrival",
+        (SWEEP_PARITY,),
+    ),
+    Mutant(
         "layering-relative-level",
         LINT,
         "elif isinstance(node, ast.ImportFrom) and node.level >= 2:",
@@ -102,6 +131,13 @@ MUTANTS = (
         LINT,
         'name == f"repro.{p}" or name.startswith(f"repro.{p}.") for p in layer.forbidden',
         'name == f"repro.{p}" or name.startswith(f"repro.{p}") for p in layer.forbidden',
+        (LAYERING,),
+    ),
+    Mutant(
+        "layering-alias-loop-dropped",
+        LINT,
+        'imports = [(f"repro.{alias.name}", dots + alias.name) for alias in node.names]',
+        "imports = []",
         (LAYERING,),
     ),
     Mutant(

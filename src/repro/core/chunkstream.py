@@ -482,6 +482,50 @@ class TimeOrderedColumns:
             yield from self.release(max(int(run[0][-1]) for run in self._runs))
 
 
+#: rows of a walk batch before :class:`TimeOrderedColumns` sorts them:
+#: ``(time, emission index, agent, src, dst, kind, role)``
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _walk_rows(
+    d: int, agent: object, src: object, dst: object, start: object, seq: object, kind: int, role: int
+) -> _Rows:
+    """Rows of walks along :meth:`Hypercube.path_via_meet`, one walk per
+    entry: ``agent`` goes ``src -> dst`` clearing the bits it must lose
+    (highest first), then setting the bits it must gain (lowest first),
+    one edge per time unit after ``start``, with emission indices counting
+    up from ``seq``.  From the root (``src`` 0) that is the broadcast-tree
+    path down (``tree_path_down``), to the root (``dst`` 0) the tree path
+    home (``path_to_root``).  Columns: ``(time, seq, agent, src, dst,
+    kind, role)``, walk after walk; the columnar producers share it."""
+    agent, src, dst, start, seq = (
+        np.asarray(col, dtype=np.int64) for col in (agent, src, dst, start, seq)
+    )
+    bits = np.arange(d, dtype=np.int64)
+    order = np.concatenate((bits[::-1], bits))
+    flips = np.concatenate(
+        ((src & ~dst)[:, None] >> bits[::-1], (dst & ~src)[:, None] >> bits), axis=1
+    ) & 1
+    walk, column = np.nonzero(flips)
+    step = np.left_shift(1, order[column])
+    lengths = flips.sum(axis=1)
+    first = np.cumsum(lengths) - lengths
+    offset = np.arange(len(walk)) - first[walk]
+    moved = np.cumsum(step)
+    moved -= (moved - step)[first[walk]]
+    to = src[walk] ^ moved
+    count = len(walk)
+    return (
+        start[walk] + 1 + offset,
+        seq[walk] + offset,
+        agent[walk],
+        to ^ step,
+        to,
+        np.full(count, kind, dtype=np.int64),
+        np.full(count, role, dtype=np.int64),
+    )
+
+
 def block_rows_for(chunk_moves: int) -> int:
     """Rows per producer block for a stream cut into ``chunk_moves``
     chunks: the chunk size, kept within ``[MIN_BLOCK_ROWS,
@@ -631,11 +675,12 @@ def chunk_move_stream(
 ) -> Iterator[ScheduleChunk]:
     """Pack a replay-ordered move stream into :class:`ScheduleChunk`\\ s.
 
-    ``moves`` is typically a strategy's
-    :meth:`~repro.core.strategy.Strategy.stream_moves` generator (the
-    per-``Move`` producers: level-sweep, the fallback for strategies
-    without a columnar producer, and the reference the columnar ones are
-    tested against); its ``return`` value is the stream footer.  The rows
+    ``moves`` is a footered ``Move`` stream: an already-materialized
+    schedule's (:func:`chunks_from_schedule`), or a strategy's
+    :meth:`~repro.core.strategy.Strategy.stream_moves` generator — for a
+    strategy without a columnar producer (no registered one), and as the
+    reference the columnar producers are tested against; its ``return``
+    value is the stream footer.  The rows
     go through :func:`assemble_chunks`, so the chunks, the team-size
     cross-check and the errors are the ones a columnar producer gets.
     """

@@ -47,6 +47,8 @@ from repro.core.chunkstream import (
     ChunkStreamHeader,
     TimeOrderedColumns,
     TimeOrderedEmitter,
+    _Rows,
+    _walk_rows,
     collect_stream,
 )
 from repro.core.schedule import Move, MoveKind, Schedule
@@ -479,46 +481,6 @@ class CleanStrategy(Strategy):
                 "synchronizer_id": SYNCHRONIZER_ID,
             },
         }
-
-
-_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _walk_rows(
-    d: int, agent: object, src: object, dst: object, start: object, seq: object, kind: int, role: int
-) -> _Rows:
-    """Rows of walks along :meth:`Hypercube.path_via_meet`, one walk per
-    entry: ``agent`` goes ``src -> dst`` clearing the bits it must lose
-    (highest first), then setting the bits it must gain (lowest first),
-    one edge per time unit after ``start``, with emission indices counting
-    up from ``seq``.  Columns: ``(time, seq, agent, src, dst, kind,
-    role)``, walk after walk."""
-    agent, src, dst, start, seq = (
-        np.asarray(col, dtype=np.int64) for col in (agent, src, dst, start, seq)
-    )
-    bits = np.arange(d, dtype=np.int64)
-    order = np.concatenate((bits[::-1], bits))
-    flips = np.concatenate(
-        ((src & ~dst)[:, None] >> bits[::-1], (dst & ~src)[:, None] >> bits), axis=1
-    ) & 1
-    walk, column = np.nonzero(flips)
-    step = np.left_shift(1, order[column])
-    lengths = flips.sum(axis=1)
-    first = np.cumsum(lengths) - lengths
-    offset = np.arange(len(walk)) - first[walk]
-    moved = np.cumsum(step)
-    moved -= (moved - step)[first[walk]]
-    to = src[walk] ^ moved
-    count = len(walk)
-    return (
-        start[walk] + 1 + offset,
-        seq[walk] + offset,
-        agent[walk],
-        to ^ step,
-        to,
-        np.full(count, kind, dtype=np.int64),
-        np.full(count, role, dtype=np.int64),
-    )
 
 
 def _escort_rows(

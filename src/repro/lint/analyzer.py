@@ -605,8 +605,9 @@ def _check_layering(mod: _Module) -> List[Finding]:
     Flags absolute imports of a forbidden package or of its submodules
     (``import repro.sim.x``, ``from repro.sim import y``, but not
     ``repro.simx``) and relative imports that climb out of the covered
-    package toward one (``from ..sim import y``).  ``from .sim import y``
-    stays inside the package, and ``from .. import sim`` is not resolved.
+    package toward one (``from ..sim import y``, and ``from .. import
+    sim``, which names the package as ``..sim``).  ``from .sim import y``
+    stays inside the package.
     """
     path = Path(mod.path)
     layers = [
@@ -623,8 +624,11 @@ def _check_layering(mod: _Module) -> List[Finding]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imports = [(node.module or "", node.module or "")]
         elif isinstance(node, ast.ImportFrom) and node.level >= 2:
-            module = node.module or ""
-            imports = [(f"repro.{module}", "." * node.level + module)]
+            dots = "." * node.level
+            if node.module:
+                imports = [(f"repro.{node.module}", dots + node.module)]
+            else:  # ``from .. import sim``: each alias is a module
+                imports = [(f"repro.{alias.name}", dots + alias.name) for alias in node.names]
         else:
             continue
         for name, imported in imports:

@@ -36,7 +36,7 @@ from repro.lint.suppressions import SuppressionTable
 __all__ = ["LintCache", "default_lint_cache_dir", "LINT_CACHE_ENV"]
 
 #: bump to orphan every existing entry at once
-ANALYZER_VERSION = "3"
+ANALYZER_VERSION = "4"
 
 #: environment variable naming the default lint-cache directory
 LINT_CACHE_ENV = "REPRO_LINT_CACHE"

@@ -42,7 +42,10 @@ event merged into one id order — and the group leaves the wake index.
 A woken agent is not evaluated again until its wake-up runs.  There it
 re-checks its own predicate under mutual exclusion: it resumes if the
 predicate still holds, and otherwise joins its node's group for that
-predicate again, to be woken by the next transition.
+predicate again, to be woken by the next transition or by its
+``wake_at`` timer, scheduled again if still ahead.  A timer that fires on
+a filed agent whose predicate holds logs and publishes the ``wake``
+itself, so every agent's ``wait`` and ``wake`` records alternate.
 
 Instrumentation
 ---------------
@@ -803,6 +806,13 @@ class Engine:
         if self._subscribers:
             self._bus.publish(WaitEvent(self._time, agent_id, node, why=why))
 
+    def _log_wake(self, record: _AgentRecord) -> None:
+        """Log and publish that a blocked agent's wait is over."""
+        agent_id, node = record.ctx.agent_id, record.ctx.node
+        self._trace.log(TraceEvent(self._time, "wake", agent_id, node))
+        if self._subscribers:
+            self._bus.publish(WakeEvent(self._time, agent_id, node))
+
     def _wake_up(self, record: _AgentRecord) -> bool:
         """Run the event of a blocked agent — its wake-up, or a ``wake_at``
         timer that fired while it was still filed — and say whether the
@@ -811,10 +821,12 @@ class Engine:
         The agent re-checks its own predicate under mutual exclusion: if it
         holds the agent resumes, and if not (another agent got there first,
         or the timer fired before the predicate turned true) it joins its
-        node's group for that predicate again.  A woken agent that re-files
-        logs a new ``wait``, so its ``wait`` and ``wake`` records
-        alternate; an agent whose timer fired was never woken, and logs
-        nothing.
+        node's group for that predicate again, and a ``wake_at`` still
+        ahead is scheduled again (the wake-up superseded the timer).  A
+        woken agent that re-files logs a new ``wait``, and a timer that
+        finds the predicate true logs the ``wake`` no transition did, so
+        every agent's ``wait`` and ``wake`` records alternate; a timer that
+        finds it false was never woken, and logs nothing.
         """
         group = record.group
         if group is not None:  # a timer: leave the group
@@ -822,13 +834,17 @@ class Engine:
             group.members.remove(record.ctx.agent_id)
             if not group.members:
                 self._dissolve(group)
-        predicate = record.wait.predicate
-        holds, reads = self._evaluate(record.ctx.node, predicate)
+        wait = record.wait
+        holds, reads = self._evaluate(record.ctx.node, wait.predicate)
         if not holds:
-            self._join(record, predicate, reads)
+            self._join(record, wait.predicate, reads)
+            if wait.wake_at is not None and wait.wake_at > self._time:
+                self._schedule(record, wait.wake_at)
             if group is None:
                 self._log_wait(record)
             return False
+        if group is not None:
+            self._log_wake(record)
         record.wait = None
         record.status = "ready"
         self._resume(record, True)
@@ -868,9 +884,7 @@ class Engine:
         for agent_id in woken:
             record = self._agents[agent_id]
             record.group = None
-            self._trace.log(TraceEvent(self._time, "wake", agent_id, record.ctx.node))
-            if self._subscribers:
-                self._bus.publish(WakeEvent(self._time, agent_id, record.ctx.node))
+            self._log_wake(record)
             self._schedule(record, self._time)
 
     # ------------------------------------------------------------------ #

@@ -1,8 +1,9 @@
 """The columnar producers against their per-``Move`` references.
 
-``clean``, ``visibility`` (and so ``synchronous``) and ``cloning`` build
-their chunk streams as numpy row blocks (``Strategy.stream_blocks``);
-``stream_moves`` stays the reference.  Four contracts:
+Every registered strategy — ``clean``, ``visibility`` (and so
+``synchronous``), ``cloning`` and ``level-sweep`` — builds its chunk
+stream as numpy row blocks (``Strategy.stream_blocks``); ``stream_moves``
+stays the reference.  Four contracts:
 
 * **producer parity** — every chunk of ``generate_chunks`` equals the
   chunk the per-``Move`` generator gives through the same assembler:
@@ -14,7 +15,11 @@ their chunk streams as numpy row blocks (``Strategy.stream_blocks``);
   text before the chunk holding it is yielded, whether it sits mid-chunk
   or on a chunk's first row;
 * **the paper's exact counts at scale** — the streamed final aggregate
-  block matches ``analysis/formulas.py`` up to d=16.
+  block matches ``analysis/formulas.py`` up to d=16, and level-sweep's
+  team and move count match its closed forms there too.
+
+A cold level-sweep cell also writes the cache entry the per-``Move``
+path wrote, byte for byte.
 """
 
 import dataclasses
@@ -24,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import formulas
+from repro.analysis import formulas, sweeps
 from repro.core.chunkstream import (
     ChunkStreamHeader,
     ScheduleChunk,
@@ -40,9 +45,11 @@ from repro.core.schedule import Move, MoveKind, Schedule, scan_moves
 from repro.core.states import AgentRole
 from repro.core.strategy import available_strategies, get_strategy
 from repro.errors import ScheduleError
+from repro.fastpath import ScheduleCache, batch_verify_chunks
+from repro.search.level_sweep import LevelSweepStrategy, level_sweep_peak_agents
 from repro.topology.hypercube import Hypercube
 
-COLUMNAR = ("clean", "visibility", "synchronous", "cloning")
+COLUMNAR = ("clean", "visibility", "synchronous", "cloning", "level-sweep")
 
 #: chunk size -> largest d it is checked at: a chunk of one move costs a
 #: fold per move on both sides, so the small sizes stop earlier
@@ -80,6 +87,16 @@ def assert_same_chunks(got, want):
     return count
 
 
+def assert_same_chunks_at_d14(name, chunk_moves):
+    strategy = get_strategy(name)
+    cube = Hypercube(14)
+    chunks = assert_same_chunks(
+        strategy.generate_chunks(cube, chunk_moves),
+        reference_chunks(strategy, cube, chunk_moves),
+    )
+    assert chunks > 1
+
+
 class TestProducerParity:
     @pytest.mark.parametrize("name", COLUMNAR)
     @pytest.mark.parametrize("chunk_moves", sorted(PARITY_SIZES))
@@ -95,13 +112,11 @@ class TestProducerParity:
 
     @pytest.mark.parametrize("chunk_moves", [4096, 65536])
     def test_clean_d14(self, chunk_moves):
-        strategy = get_strategy("clean")
-        cube = Hypercube(14)
-        chunks = assert_same_chunks(
-            strategy.generate_chunks(cube, chunk_moves),
-            reference_chunks(strategy, cube, chunk_moves),
-        )
-        assert chunks > 1
+        assert_same_chunks_at_d14("clean", chunk_moves)
+
+    @pytest.mark.parametrize("chunk_moves", [4096, 65536])
+    def test_level_sweep_d14(self, chunk_moves):
+        assert_same_chunks_at_d14("level-sweep", chunk_moves)
 
     @QUICK
     @given(
@@ -161,7 +176,7 @@ def assert_prefix_stats(chunks, moves):
 
 
 class TestAggregateFold:
-    @pytest.mark.parametrize("name", COLUMNAR + ("level-sweep",))
+    @pytest.mark.parametrize("name", COLUMNAR)
     @pytest.mark.parametrize("chunk_moves", [1, 3, 16, 1000])
     def test_every_chunk_prefix(self, name, chunk_moves):
         schedule = get_strategy(name).generate(Hypercube(5))
@@ -359,3 +374,52 @@ class TestPaperCountsAtScale:
         assert stats.agents_used == formulas.cloning_agents(d)
         assert stats.total_moves == (1 << d) - 1 == formulas.cloning_moves(d)
         assert stats.makespan == d == formulas.cloning_time_steps(d)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_level_sweep(self, d):
+        """Team ``max C(d,l) + C(d,l+1)`` and ``d 2^d`` moves: each
+        level-k node is entered by one k-move dispatch walk and left by one
+        k-move return walk.  The streamed schedule verifies on the
+        bit-plane kernel without a declined block."""
+        strategy = get_strategy("level-sweep")
+        final = []
+
+        def tapped(chunks):
+            for chunk in chunks:
+                final.append(chunk.stats_so_far)
+                yield chunk
+
+        report = batch_verify_chunks(tapped(strategy.generate_chunks(Hypercube(d))))
+        assert report.ok and report.declined == 0
+        assert final[-1].agents_used == report.team_size == level_sweep_peak_agents(d)
+        assert final[-1].total_moves == d << d == strategy.expected_total_moves(d)
+
+
+# --------------------------------------------------------------------- #
+# the cache entry of a cold cell
+# --------------------------------------------------------------------- #
+
+
+class PerMoveLevelSweep(LevelSweepStrategy):
+    """level-sweep without its columnar producer (unregistered): its
+    chunks come from ``chunk_move_stream`` over ``stream_moves``, under
+    the same cache fingerprint."""
+
+    def stream_blocks(self, hypercube, block_rows):
+        return None
+
+
+@pytest.mark.parametrize("d", [5, 13])
+def test_cold_level_sweep_cell_writes_the_per_move_entry(tmp_path, d):
+    """d=13 holds 106,496 moves: two chunks of the cache's block size."""
+    columnar, per_move = ScheduleCache(tmp_path / "columnar"), ScheduleCache(tmp_path / "per-move")
+    _, _, provenance = sweeps.measure_cell("level-sweep", d, cache=columnar)
+    assert provenance["source"] == "generated"
+    reference = PerMoveLevelSweep()
+    *_, last = per_move.stream_chunks(reference, d)
+    assert last.is_last and per_move.stats.stores == 1
+    fp = per_move.fingerprint_of(reference, d)
+    assert provenance["fingerprint"] == fp
+    (entry,) = columnar.entries()
+    assert entry.name == per_move.path_for(fp).name
+    assert entry.read_bytes() == per_move.path_for(fp).read_bytes()

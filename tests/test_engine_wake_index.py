@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.core.states import NodeState
 from repro.errors import ReproError
 from repro.obs import SimMetricsCollector, standard_probes
-from repro.obs.events import WakeEvent
 from repro.protocols import (
     clean_protocol,
     cloning_protocol,
@@ -55,7 +54,6 @@ from repro.sim.agent import (
 )
 from repro.sim.engine import Engine
 from repro.sim.scheduling import AdversarialSlowestDelay, RandomDelay, UnitDelay
-from repro.sim.trace import TraceEvent
 from repro.sim.whiteboard import Whiteboard
 from repro.topology.hypercube import Hypercube
 
@@ -74,7 +72,9 @@ class PollingEngine(Engine):
     agent whose predicate holds and that has no live wake, in agent id
     order.  A wake is live from this pass until the agent's wake-up runs;
     there the agent re-checks its predicate through a fresh view and, if
-    it is false, stays blocked and logs a new ``wait``.
+    it is false, stays blocked, logs a new ``wait`` and re-arms a
+    ``wake_at`` still ahead.  A ``wake_at`` timer that finds the
+    predicate true logs and publishes the agent's ``wake``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -97,10 +97,15 @@ class PollingEngine(Engine):
     def _wake_up(self, record) -> bool:
         woken = record.ctx.agent_id in self._live
         self._live.discard(record.ctx.agent_id)
-        if not record.wait.predicate(self._polling_view(record)):
+        wait = record.wait
+        if not wait.predicate(self._polling_view(record)):
             if woken:  # not a wake_at timer
+                if wait.wake_at is not None and wait.wake_at > self._time:
+                    self._schedule(record, wait.wake_at)
                 self._log_wait(record)
             return False
+        if not woken:  # a wake_at timer
+            self._log_wake(record)
         record.wait = None
         record.status = "ready"
         self._resume(record, True)
@@ -113,9 +118,7 @@ class PollingEngine(Engine):
                 continue
             if record.wait.predicate(self._polling_view(record)):
                 self._live.add(agent_id)
-                self._trace.log(TraceEvent(self._time, "wake", agent_id, record.ctx.node))
-                if self._subscribers:
-                    self._bus.publish(WakeEvent(self._time, agent_id, record.ctx.node))
+                self._log_wake(record)
                 self._schedule(record, self._time)
 
 
@@ -218,7 +221,7 @@ GOLDEN = {
     "clean": "d2cff35e35c28e58",
     "visibility": "b57947ef4fc0321c",
     "cloning": "5edc9f6dbe249d5b",
-    "synchronous": "7c963ecf7351fdce",
+    "synchronous": "0fd3a88ab1f0a66f",
     "frontier": "a228ee5c77eb309b",
 }
 
@@ -228,33 +231,26 @@ def test_golden_digests_match_full_scan(protocol):
     assert matrix_digest(protocol) == GOLDEN[protocol]
 
 
-#: protocols whose waits carry ``wake_at`` timers; a timer that finds its
-#: agent's predicate true resumes the agent without a ``wake`` record
-_TIMED = {"synchronous"}
-
-
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
 def test_wait_and_wake_records_alternate(protocol):
     """In every run of the matrix each agent's ``wait`` and ``wake``
     records alternate, a ``wait`` first: a woken agent that loses the
-    race for what it waited on logs its new wait.  Only a round timer of
-    the synchronous protocol ends a wait unrecorded, so there a ``wait``
-    may follow a ``wait``; a ``wake`` never follows a ``wake``."""
+    race for what it waited on logs its new wait, and a round timer of
+    the synchronous protocol that ends a wait logs its wake."""
     for run in matrix_runs(protocol):
         last: Dict[int, str] = {}
         for event in run_protocol(protocol, *run).trace:
             if event.kind in ("wait", "wake"):
-                if last.get(event.agent, "wake") == event.kind:
-                    assert event.kind == "wait" and protocol in _TIMED, (run, event)
+                assert last.get(event.agent, "wake") != event.kind, (run, event)
                 last[event.agent] = event.kind
 
 
-def test_collector_blocked_count_follows_the_wait_groups():
-    """After every event but a ``wake`` the collector's ``agents_blocked``
-    gauge counts exactly the agents filed in wait groups.  CLEAN's idle
-    followers race for each dispatch order, and the losers are blocked
-    again (a woken agent is unfiled before its ``wake`` is published, so
-    ``wake`` events are skipped)."""
+def _blocked_count_mismatches(module, runner: str, dimension: int) -> List[Any]:
+    """Run the protocol with unit delays and a metrics collector; every
+    event but a ``wake`` after which the collector's ``agents_blocked``
+    gauge differs from the agents filed in wait groups (a woken agent is
+    unfiled before its ``wake`` is published, so ``wake`` events are
+    skipped)."""
     engines: List[Engine] = []
     collector = SimMetricsCollector()
     differ: List[Any] = []
@@ -271,12 +267,24 @@ def test_collector_blocked_count_follows_the_wait_groups():
         if filed != shown:
             differ.append((event.time, event.kind, filed, shown))
 
-    with mock.patch.object(clean_protocol, "Engine", tapped):
-        result = clean_protocol.run_clean_protocol(
-            7, delay=UnitDelay(), subscribers=[collector, compare]
+    with mock.patch.object(module, "Engine", tapped):
+        result = getattr(module, runner)(
+            dimension, delay=UnitDelay(), subscribers=[collector, compare]
         )
     assert result.all_clean
-    assert differ == []
+    return differ
+
+
+def test_collector_blocked_count_follows_the_wait_groups():
+    """CLEAN's idle followers race for each dispatch order, and the
+    losers are blocked again: the collector counts them as blocked."""
+    assert _blocked_count_mismatches(clean_protocol, "run_clean_protocol", 7) == []
+
+
+def test_collector_blocked_count_follows_the_round_timers():
+    """The synchronous agents' round timers end their waits: each timer
+    that finds its predicate true publishes the agent's ``wake``."""
+    assert _blocked_count_mismatches(sync_protocol, "run_synchronous_protocol", 6) == []
 
 
 @pytest.mark.parametrize(
@@ -705,6 +713,33 @@ def test_woken_agent_that_loses_the_race_refiles():
     # two waits, one group evaluation, two re-checks (the second fails);
     # then one evaluation of agent 1's new group and its re-check
     assert calls == [0.0] * 5 + [2.0] * 2
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, PollingEngine])
+def test_woken_agent_that_loses_the_race_keeps_its_timer(engine_cls):
+    """Two waiters share a predicate that one slot or the clock at 5
+    makes true, with a ``wake_at`` timer at 5.  The one slot wakes both;
+    the first takes it, and the second re-files with its timer scheduled
+    again (its wake-up superseded it), so the timer resumes it at t=5 —
+    logging the ``wake`` — instead of leaving it blocked for good."""
+
+    def slot_or_late(view):
+        return (view.wb("slots") or 0) >= 1 or view.time >= 5
+
+    def waiter(ctx):
+        yield WaitUntil(slot_or_late, wake_at=5)
+        yield UpdateWhiteboard(_add("slots", -1))
+        yield Terminate()
+
+    def poster(ctx):
+        yield UpdateWhiteboard(_add("slots", 1))
+        yield Terminate()
+
+    result = engine_cls(Hypercube(2), [waiter, waiter, poster], global_clock=True).run()
+    assert not result.deadlocked and result.blocked_agents == 0
+    assert [(e.time, e.kind) for e in result.trace if e.agent == 1] == [
+        (0, "wait"), (0, "wake"), (0, "wait"), (5, "wake"), (5, "terminate")
+    ]
 
 
 # --------------------------------------------------------------------- #

@@ -46,6 +46,13 @@ class TestCost:
         ]
         assert all(1.2 < r < 1.6 for r in ratios)
 
+    @pytest.mark.parametrize("d", DIMS)
+    def test_moves_match_closed_form(self, schedules, d):
+        """A level-k node is entered by one k-move dispatch walk and left
+        by one k-move return walk: sum_k 2k C(d,k) = d 2^d moves."""
+        expected = LevelSweepStrategy().expected_total_moves(d)
+        assert schedules[d].total_moves == d << d == expected
+
     @pytest.mark.parametrize("d", range(2, 8))
     def test_moves_O_n_log_n(self, schedules, d):
         n = 1 << d
